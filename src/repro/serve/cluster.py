@@ -68,6 +68,7 @@ from repro.serve.http import (
     RequestTelemetry,
     load_robustness,
     read_json_body,
+    write_response,
 )
 from repro.serve.resilience import Backoff, CircuitBreaker
 from repro.serve.ring import HashRing
@@ -1081,10 +1082,10 @@ class ClusterSupervisor:
 # ---------------------------------------------------------------------- router
 
 
-class _ProxyResult:
+class _ProxyResult(RawResponse):
     """A worker response relayed verbatim: status, body, select headers."""
 
-    __slots__ = ("status", "body", "content_type", "headers")
+    __slots__ = ("status", "headers")
 
     def __init__(
         self, status: int, body: bytes, content_type: str, headers: dict
@@ -1136,23 +1137,6 @@ class _RouterHandler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------- plumbing
 
-    def _send_body(self, payload, status: int, headers: dict) -> None:
-        if isinstance(payload, _ProxyResult):
-            body, content_type = payload.body, payload.content_type
-            headers = {**payload.headers, **headers}
-        elif isinstance(payload, RawResponse):
-            body, content_type = payload.body, payload.content_type
-        else:
-            body = json.dumps(payload).encode()
-            content_type = "application/json"
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in headers.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
     def _dispatch(self, handler) -> None:
         # Graceful drain: once begin_drain() fires, refuse new work with
         # the ladder's typed 503 + Retry-After (health checks still
@@ -1160,7 +1144,8 @@ class _RouterHandler(BaseHTTPRequestHandler):
         # already-admitted requests run to completion below.
         if self.server.draining and urlparse(self.path).path != "/healthz":  # type: ignore[attr-defined]
             started = time.perf_counter()
-            self._send_body(
+            write_response(
+                self,
                 {"error": "router is draining; not accepting new requests"},
                 503,
                 {"Retry-After": str(max(1, int(self.server.drain_retry_after_s)))},  # type: ignore[attr-defined]
@@ -1226,24 +1211,21 @@ class _RouterHandler(BaseHTTPRequestHandler):
                 payload, status = {"error": f"internal error: {exc}"}, 500
             if isinstance(payload, _ProxyResult):
                 status = payload.status
+                headers = {**payload.headers, **headers}
             span.set_attribute("status", status)
             if status >= 400:
                 span.end(status="error")
             trace_id = span.trace_id if span.context is not None else None
-        self._send_body(payload, status, headers)
+        write_response(self, payload, status, headers)
         elapsed = time.perf_counter() - started
         self.server.request_latency.record(elapsed)  # type: ignore[attr-defined]
         # The router judges the traffic *it* answered: a relayed worker
         # refusal (Retry-After in the proxied headers) is a shed here too.
-        retry_after = "Retry-After" in headers or (
-            isinstance(payload, _ProxyResult)
-            and "Retry-After" in payload.headers
-        )
         self.server.telemetry.observe(  # type: ignore[attr-defined]
             self.path,
             status,
             elapsed,
-            retry_after=retry_after,
+            retry_after="Retry-After" in headers,
             trace_id=trace_id,
         )
 
@@ -1361,6 +1343,12 @@ class _RouterHandler(BaseHTTPRequestHandler):
 
     def do_PATCH(self) -> None:  # noqa: N802 - stdlib naming
         self._dispatch(self._route_other("PATCH"))
+
+    def do_HEAD(self) -> None:  # noqa: N802 - stdlib naming
+        self._dispatch(self._route_other("HEAD"))
+
+    def do_OPTIONS(self) -> None:  # noqa: N802 - stdlib naming
+        self._dispatch(self._route_other("OPTIONS"))
 
     def _route_other(self, method: str):
         parts = [p for p in urlparse(self.path).path.split("/") if p]

@@ -443,6 +443,40 @@ def _auto_estimator(kind: str, n_parties: int, options: dict) -> str:
     return chosen
 
 
+def write_response(
+    handler: BaseHTTPRequestHandler,
+    payload: "dict | RawResponse",
+    status: int,
+    headers: dict,
+) -> None:
+    """Send one whole response — status line, headers, body — in one write.
+
+    Shared by the worker handler and the cluster router.  The stdlib path
+    (``send_response`` … ``end_headers`` then ``wfile.write(body)``) puts a
+    response on the wire in two sends; under Nagle the second waits for
+    the client's delayed ACK, ~40 ms on Linux, so a keep-alive client
+    that sends its next request at once stalls on every one.  A ``HEAD``
+    answer is the head alone: it keeps its ``Content-Length``, so the
+    connection stays usable.
+    """
+    if isinstance(payload, RawResponse):
+        body, content_type = payload.body, payload.content_type
+    else:
+        body, content_type = json.dumps(payload).encode(), "application/json"
+    handler.log_request(status)
+    reason = handler.responses.get(status, ("",))[0]
+    lines = [
+        f"{handler.protocol_version} {status} {reason}",
+        f"Server: {handler.version_string()}",
+        f"Date: {handler.date_time_string()}",
+        f"Content-Type: {content_type}",
+        f"Content-Length: {len(body)}",
+        *(f"{name}: {value}" for name, value in headers.items()),
+    ]
+    head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1", "strict")
+    handler.wfile.write(head if handler.command == "HEAD" else head + body)
+
+
 def read_json_body(handler) -> dict:
     """The ``POST`` body ladder: 411 / 400 / 413 before reading, then JSON.
 
@@ -507,24 +541,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------- plumbing
 
-    def _send_body(
-        self,
-        payload: "dict | RawResponse",
-        status: int = 200,
-        headers: dict | None = None,
-    ) -> None:
-        if isinstance(payload, RawResponse):
-            body, content_type = payload.body, payload.content_type
-        else:
-            body, content_type = json.dumps(payload).encode(), "application/json"
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
     def _dispatch(self, handler) -> None:
         started = time.perf_counter()
         headers: dict = {}
@@ -569,7 +585,7 @@ class _Handler(BaseHTTPRequestHandler):
             if status >= 400:
                 span.end(status="error")
             trace_id = span.trace_id if span.context is not None else None
-        self._send_body(payload, status, headers)
+        write_response(self, payload, status, headers)
         elapsed = time.perf_counter() - started
         self.server.request_latency.record(elapsed)  # type: ignore[attr-defined]
         self.server.observe_request(  # type: ignore[attr-defined]
@@ -616,6 +632,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_PATCH(self) -> None:  # noqa: N802 - stdlib naming
         self._dispatch(self._route_other("PATCH"))
+
+    def do_HEAD(self) -> None:  # noqa: N802 - stdlib naming
+        self._dispatch(self._route_other("HEAD"))
+
+    def do_OPTIONS(self) -> None:  # noqa: N802 - stdlib naming
+        self._dispatch(self._route_other("OPTIONS"))
 
     def _route_other(self, method: str):
         parts = [p for p in urlparse(self.path).path.split("/") if p]

@@ -12,10 +12,12 @@ rides the same cache, WAL, breaker and cluster machinery.
 
 The registry lives here in :mod:`repro.core` (imported by everything) and
 the backend *implementations* live in :mod:`repro.estimators` (which
-imports the serving layer's streaming base).  :func:`get_backend` breaks
-that cycle lazily: the first lookup imports :mod:`repro.estimators`,
+subclasses :mod:`repro.core.streaming`'s base).  :func:`get_backend`
+breaks that cycle lazily: the first lookup imports :mod:`repro.estimators`,
 whose module-level :func:`register_backend` decorators populate the
-table.
+table.  Dependencies point one way, ``core`` ← ``estimators`` ←
+``serve``; that lazy import is the only place ``core`` names
+``estimators``.
 
 Cache identity: :meth:`EstimatorBackend.digest_token` folds the backend
 name and its *options* into the run's content digest, so two runs over
@@ -34,6 +36,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from repro.core.contribution import ContributionReport
+from repro.core.streaming import fold_log
 from repro.metrics.cost import CostLedger
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -130,8 +133,8 @@ class EstimatorBackend:
     what turns a typo'd ``estimator_options`` into an HTTP 400 instead
     of a silently ignored knob).  They implement :meth:`streaming_hfl` /
     :meth:`streaming_vfl` for the kinds they support; the batch entry
-    points below default to "stream the whole log" so only ``digfl``
-    (whose batch algorithms predate the registry) overrides them.
+    points below are the whole-log fold
+    (:func:`repro.core.streaming.fold_log`) over those, for every backend.
     """
 
     name: str = ""
@@ -188,16 +191,8 @@ class EstimatorBackend:
         val_grad_memo: dict | None = None,
         profiler=None,
     ) -> ContributionReport:
-        """Whole-log estimate: build the streaming estimator, feed it all.
-
-        Streaming estimators are defined to be bit-for-bit equal to their
-        batch algorithms on any prefix, so "stream everything" *is* the
-        batch estimate; ``digfl`` overrides this with its original batch
-        functions to keep the pre-registry call sites byte-identical.
-        """
+        """Whole-log estimate: build the streaming estimator, feed it all."""
         self.require("hfl")
-        if log.n_epochs == 0:
-            raise ValueError("training log is empty")
         ctx = HFLRunContext(
             log.participant_ids,
             validation,
@@ -205,9 +200,9 @@ class EstimatorBackend:
             use_logged_weights=use_logged_weights,
             val_grad_memo=val_grad_memo,
         )
-        estimator = self._configured(self.streaming_hfl(ctx), ledger, profiler)
-        estimator.ingest_log(log)
-        return estimator.report()
+        return fold_log(
+            self.streaming_hfl(ctx), log, ledger=ledger, profiler=profiler
+        )
 
     def estimate_vfl(
         self,
@@ -218,20 +213,10 @@ class EstimatorBackend:
     ) -> ContributionReport:
         """Whole-log VFL estimate via the streaming path."""
         self.require("vfl")
-        if log.n_epochs == 0:
-            raise ValueError("training log is empty")
         ctx = VFLRunContext(log.feature_blocks, log.active_parties)
-        estimator = self._configured(self.streaming_vfl(ctx), ledger, profiler)
-        estimator.ingest_log(log)
-        return estimator.report()
-
-    @staticmethod
-    def _configured(estimator, ledger, profiler):
-        if ledger is not None:
-            estimator.ledger = ledger
-        if profiler is not None:
-            estimator.profiler = profiler
-        return estimator
+        return fold_log(
+            self.streaming_vfl(ctx), log, ledger=ledger, profiler=profiler
+        )
 
     def info(self) -> BackendInfo:
         return BackendInfo(
@@ -300,25 +285,25 @@ _BENCH_ESTIMATORS = "BENCH_estimators.json"
 
 
 def _crossover_parties(bench_path=None) -> int | None:
-    """The gtg→dpvs crossover party count recorded by the benchmark, if any."""
+    """The gtg→dpvs crossover party count recorded by the benchmark, if any.
+
+    Reads ``bench_path`` when given, else the repo's own
+    ``BENCH_estimators.json`` — never the working directory, so the
+    answer does not depend on where a server was started.
+    """
     from pathlib import Path
 
-    candidates = []
-    if bench_path is not None:
-        candidates.append(Path(bench_path))
-    else:
-        candidates.append(Path.cwd() / _BENCH_ESTIMATORS)
-        candidates.append(Path(__file__).resolve().parents[3] / _BENCH_ESTIMATORS)
-    for path in candidates:
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            continue
-        crossover = payload.get("crossover")
-        if isinstance(crossover, dict):
-            n = crossover.get("n_parties")
-            if isinstance(n, (int, float)) and n > 0:
-                return int(n)
+    if bench_path is None:
+        bench_path = Path(__file__).resolve().parents[3] / _BENCH_ESTIMATORS
+    try:
+        payload = json.loads(Path(bench_path).read_text())
+    except (OSError, ValueError):
+        return None
+    crossover = payload.get("crossover")
+    if isinstance(crossover, dict):
+        n = crossover.get("n_parties")
+        if isinstance(n, (int, float)) and n > 0:
+            return int(n)
     return None
 
 

@@ -36,6 +36,7 @@ import numpy as np
 from repro.autodiff.grad import hvp
 from repro.autodiff.tensor import Tensor
 from repro.core.contribution import ContributionReport, from_per_epoch
+from repro.core.streaming import StreamingHFLEstimator, fold_log
 from repro.core.valgrad import GradientMemo, validation_gradients
 from repro.data.dataset import Dataset
 from repro.hfl.log import TrainingLog
@@ -58,56 +59,26 @@ def estimate_hfl_resource_saving(
 ) -> ContributionReport:
     """Algorithm 2: first-order per-epoch contributions from the log only.
 
-    ``use_logged_weights`` replaces the paper's uniform ``1/n`` with the
-    aggregation weights the server actually applied (recorded per epoch in
-    the log) — the consistent choice when training used FedAvg data-size
-    weights or the reweight mechanism, since removing participant ``i``
-    then removes ``ω_{t,i}·δ_{t,i}`` from the aggregate.
-
-    Logs produced by :mod:`repro.runtime` under faults carry per-round
-    participation masks.  A participant absent from round ``t`` shipped no
-    update, so its per-epoch contribution for that round is zero (the
-    paper's per-epoch formulation has no term for it), and the uniform
-    divisor becomes the number of updates the server actually aggregated
-    that round.
+    The whole-log fold of :class:`repro.core.streaming.StreamingHFLEstimator`,
+    which owns the per-epoch term, the ``use_logged_weights`` choice and
+    the participation-mask rule.
 
     ``val_grad_memo`` / ``val_grad_key`` thread an optional gradient memo
-    through :func:`repro.core.valgrad.validation_gradients`, so a caching
-    layer (:mod:`repro.serve`) computes each epoch's validation gradient
-    once per (log, epoch) no matter how many estimators consume it.
-    ``profiler`` attributes the two hot phases (validation gradients, the
-    per-epoch dot products) to :mod:`repro.obs` phase timers.
+    through :func:`repro.core.valgrad.epoch_validation_gradient`, so a
+    caching layer (:mod:`repro.serve`) computes each epoch's validation
+    gradient once per (log, epoch) no matter how many estimators consume
+    it.  ``profiler`` attributes the two hot phases (validation gradients,
+    the per-epoch dot products) to :mod:`repro.obs` phase timers.
     """
-    if log.n_epochs == 0:
-        raise ValueError("training log is empty")
-    ledger = ledger or CostLedger()
-    profiler = profiler if profiler is not None else NULL_PROFILER
-    model = model_factory()
-    n = log.n_participants
-    with ledger.computing():
-        with profiler.phase("estimator.valgrad"):
-            val_grads = validation_gradients(
-                log, validation, model, memo=val_grad_memo, key=val_grad_key
-            )
-        per_epoch = np.empty((log.n_epochs, n))
-        with profiler.phase("estimator.dot_products"):
-            for t, record in enumerate(log.records):
-                raw = record.local_updates @ val_grads[t]
-                if use_logged_weights:
-                    # Absent participants were renormalised to weight 0, so
-                    # the logged weights already zero their round share.
-                    per_epoch[t] = record.weights * raw
-                elif record.participation is None:
-                    per_epoch[t] = raw / n
-                else:
-                    mask = record.participation
-                    arrived = int(mask.sum())
-                    if arrived == 0:
-                        per_epoch[t] = 0.0
-                    else:
-                        per_epoch[t] = np.where(mask, raw, 0.0) / arrived
-    return from_per_epoch(
-        "digfl-resource-saving", log.participant_ids, per_epoch, ledger=ledger
+    estimator = StreamingHFLEstimator(
+        log.participant_ids,
+        validation,
+        model_factory,
+        use_logged_weights=use_logged_weights,
+        val_grad_memo=val_grad_memo,
+    )
+    return fold_log(
+        estimator, log, ledger=ledger, profiler=profiler, memo_key=val_grad_key
     )
 
 

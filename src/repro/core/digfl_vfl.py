@@ -28,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.contribution import ContributionReport, from_per_epoch
+from repro.core.streaming import StreamingVFLEstimator, fold_log
 from repro.data.dataset import Dataset
 from repro.metrics.cost import CostLedger
 from repro.vfl.log import VFLTrainingLog
@@ -40,26 +41,11 @@ def estimate_vfl_first_order(
 ) -> ContributionReport:
     """Eq. 27 contributions straight from the vertical training log.
 
-    Runtime logs under faults carry per-round participation masks: a party
-    whose block update missed round ``t`` applied nothing that round, so
-    its per-epoch contribution is zero — the block term of Eq. 27 only
-    exists for updates that entered ``G_t``.
+    The whole-log fold of :class:`repro.core.streaming.StreamingVFLEstimator`,
+    which owns the per-epoch term and its participation-mask rule.
     """
-    if log.n_epochs == 0:
-        raise ValueError("training log is empty")
-    ledger = ledger or CostLedger()
-    parties = log.active_parties
-    per_epoch = np.zeros((log.n_epochs, len(parties)))
-    with ledger.computing():
-        for t, record in enumerate(log.records):
-            for col, party in enumerate(parties):
-                if not record.participated(party):
-                    continue  # per_epoch stays 0 for the missed round
-                block = log.feature_blocks[party]
-                per_epoch[t, col] = record.lr * float(
-                    record.val_gradient[block] @ record.train_gradient[block]
-                )
-    return from_per_epoch("digfl-vfl", parties, per_epoch, ledger=ledger)
+    estimator = StreamingVFLEstimator(log.feature_blocks, log.active_parties)
+    return fold_log(estimator, log, ledger=ledger)
 
 
 def estimate_vfl_second_order(

@@ -4,23 +4,27 @@ The paper's per-epoch decomposition (Lemma 3, Eq. 13–15) makes the
 whole-process contribution a plain sum of per-epoch terms, so evaluation
 does not have to be a batch job: ingesting epoch ``τ+1`` costs exactly one
 validation gradient and ``n`` dot products (Algorithm 2's per-epoch step),
-never a re-read of epochs ``1..τ``.  These estimators are that loop turned
-inside out — and they are *bit-for-bit* the batch estimators:
+never a re-read of epochs ``1..τ``.
 
-* every per-epoch row is computed through the same expressions, in the
-  same order, as :func:`repro.core.digfl_hfl.estimate_hfl_resource_saving`
-  / :func:`repro.core.digfl_vfl.estimate_vfl_first_order` (shared helper
-  :mod:`repro.core.valgrad` for the validation gradients, shared branch
-  structure for participation masks and quarantined parties);
-* :meth:`report` rebuilds totals via
-  :func:`repro.core.contribution.from_per_epoch` on the stacked matrix, so
-  even the float summation order matches the batch path.
+These classes are the *only* implementation of the first-order DIG-FL
+terms: the batch estimators
+:func:`repro.core.digfl_hfl.estimate_hfl_resource_saving` and
+:func:`repro.core.digfl_vfl.estimate_vfl_first_order` fold a whole log
+through :meth:`_StreamingBase.ingest_log`, so streaming and batch answers
+agree bit for bit by construction.  :meth:`_StreamingBase.report` builds
+totals via :func:`repro.core.contribution.from_per_epoch` on the stacked
+matrix, so a mid-training query equals a batch estimate of the prefix.
 
-Running state is O(n + p): the per-epoch score rows (``n`` floats each, no
-gradients), the latest Eq. 17–18 reweight vector, and one transient
-``p``-vector per ingest for the validation gradient.  Thread safety is the
-caller's job — :class:`repro.serve.service.EvaluationService` holds a
-per-run lock around every ingest and query.
+:class:`_StreamingBase` is also the base of the other streaming backends
+in :mod:`repro.estimators` (GTG-Shapley, DPVS): anything that produces one
+per-epoch row per record gets totals, leaderboards, reweight vectors and
+whole-log ingestion from it.
+
+Running state is O(τ·n): the per-epoch score rows (``n`` floats each, no
+gradients) plus one transient ``p``-vector per ingest for the validation
+gradient.  Thread safety is the caller's job —
+:class:`repro.serve.service.EvaluationService` holds a per-run lock around
+every ingest and query.
 """
 
 from __future__ import annotations
@@ -33,15 +37,20 @@ from repro.core.contribution import ContributionReport, from_per_epoch
 from repro.core.reweight import rectified_weights, softmax_weights
 from repro.core.valgrad import GradientMemo, epoch_validation_gradient
 from repro.data.dataset import Dataset
-from repro.hfl.log import EpochRecord, TrainingLog
+from repro.hfl.log import EpochRecord
 from repro.metrics.cost import CostLedger
 from repro.nn.models import Classifier
 from repro.obs.profile import NULL_PROFILER
-from repro.vfl.log import VFLEpochRecord, VFLTrainingLog
+from repro.vfl.log import VFLEpochRecord
 
 
 class _StreamingBase:
-    """Shared bookkeeping: per-epoch rows, totals, running reweight vector."""
+    """Shared bookkeeping: per-epoch rows, totals, whole-log ingestion.
+
+    Subclasses set ``method`` and implement ``ingest(record, *,
+    memo_key=None)``, which computes one per-epoch row and returns
+    ``self._push(row)``.
+    """
 
     method: str
 
@@ -49,7 +58,6 @@ class _StreamingBase:
         self.participant_ids = list(participant_ids)
         self.ledger = CostLedger()
         self._rows: list[np.ndarray] = []
-        self._weights: list[np.ndarray] = []
         # Phase timers around the ingest hot path (valgrad, dot products).
         # The service swaps in the run's profiler at registration; the
         # default records nothing.
@@ -63,6 +71,22 @@ class _StreamingBase:
     def n_epochs(self) -> int:
         return len(self._rows)
 
+    def ingest_log(self, log, *, start: int = 0, memo_key: str | None = None) -> int:
+        """Ingest ``log.records[start:]`` in order; returns epochs consumed.
+
+        ``memo_key`` is handed to every ``ingest`` (the validation-gradient
+        memo key of :mod:`repro.core.valgrad`; estimators that never touch
+        validation gradients ignore it).
+        """
+        if list(log.participant_ids) != self.participant_ids:
+            raise ValueError(
+                f"log participants {log.participant_ids} do not match "
+                f"{self.participant_ids}"
+            )
+        for record in log.records[start:]:
+            self.ingest(record, memo_key=memo_key)
+        return log.n_epochs - start
+
     def per_epoch(self) -> np.ndarray:
         """The (τ, n) per-epoch contribution matrix ingested so far."""
         if not self._rows:
@@ -74,12 +98,12 @@ class _StreamingBase:
 
         Summed column-wise over the stacked matrix — the identical
         reduction :func:`from_per_epoch` performs — so totals never drift
-        from what a batch re-estimate of the same prefix would report.
+        from what :meth:`report` says about the same prefix.
         """
         return self.per_epoch().sum(axis=0)
 
     def report(self) -> ContributionReport:
-        """A :class:`ContributionReport` bit-for-bit equal to the batch one."""
+        """The whole-process :class:`ContributionReport` of the prefix."""
         if not self._rows:
             raise ValueError("no epochs ingested yet")
         return from_per_epoch(
@@ -111,23 +135,67 @@ class _StreamingBase:
 
     def weight_history(self) -> np.ndarray:
         """(τ, n) matrix of the Eq. 17 weights after each ingested epoch."""
-        if not self._weights:
+        if not self._rows:
             return np.empty((0, self.n_participants))
-        return np.vstack(self._weights)
+        return np.vstack([rectified_weights(row) for row in self._rows])
 
     def _push(self, row: np.ndarray) -> np.ndarray:
         self._rows.append(row)
-        self._weights.append(rectified_weights(row))
         return row
+
+
+def fold_log(
+    estimator: _StreamingBase,
+    log,
+    *,
+    ledger: CostLedger | None = None,
+    profiler=None,
+    memo_key: str | None = None,
+) -> ContributionReport:
+    """The batch estimate: stream the whole of ``log`` and report.
+
+    Every whole-log estimate in the repo is this fold, so a batch answer
+    and a streamed one are the same computation, not two that agree.
+    ``ledger`` / ``profiler`` replace the estimator's own when given.
+    """
+    if log.n_epochs == 0:
+        raise ValueError("training log is empty")
+    if ledger is not None:
+        estimator.ledger = ledger
+    if profiler is not None:
+        estimator.profiler = profiler
+    estimator.ingest_log(log, memo_key=memo_key)
+    return estimator.report()
+
+
+def check_update_rows(record: EpochRecord, n: int) -> None:
+    """The shape guard every HFL streaming ingest performs."""
+    if record.local_updates.shape[0] != n:
+        raise ValueError(
+            f"record carries {record.local_updates.shape[0]} update rows, "
+            f"expected {n}"
+        )
 
 
 class StreamingHFLEstimator(_StreamingBase):
     """Algorithm 2 (Eq. 16), one :class:`EpochRecord` at a time.
 
-    Construction mirrors :func:`estimate_hfl_resource_saving`'s signature;
-    ``ingest`` accepts the records in log order and returns the epoch's
-    per-epoch contribution row.  ``memo``/``memo_key`` plug into the
-    content-addressed gradient memo of :mod:`repro.serve.cache`.
+    ``φ̂_{t,i} = (1/n) ⟨∇loss^v(θ_{t-1}), δ_{t,i}⟩``: one validation
+    gradient and ``n`` dot products per epoch, zero extra communication.
+
+    ``use_logged_weights`` replaces the paper's uniform ``1/n`` with the
+    aggregation weights the server actually applied (recorded per epoch in
+    the log) — the consistent choice when training used FedAvg data-size
+    weights or the reweight mechanism, since removing participant ``i``
+    then removes ``ω_{t,i}·δ_{t,i}`` from the aggregate.
+
+    Records produced under faults or screening carry a participation mask.
+    A participant absent from round ``t`` shipped no update, so its
+    per-epoch contribution for that round is zero, and the uniform divisor
+    becomes the number of updates the server actually aggregated.
+
+    ``val_grad_memo`` plus a per-ingest ``memo_key`` plug into the
+    content-addressed gradient memo of :mod:`repro.core.valgrad`.
     """
 
     method = "digfl-resource-saving"
@@ -150,11 +218,7 @@ class StreamingHFLEstimator(_StreamingBase):
     def ingest(self, record: EpochRecord, *, memo_key: str | None = None) -> np.ndarray:
         """Consume one epoch: one validation gradient, ``n`` dot products."""
         n = self.n_participants
-        if record.local_updates.shape[0] != n:
-            raise ValueError(
-                f"record carries {record.local_updates.shape[0]} update rows, "
-                f"expected {n}"
-            )
+        check_update_rows(record, n)
         with self.ledger.computing():
             with self.profiler.phase("estimator.valgrad"):
                 val_grad = epoch_validation_gradient(
@@ -165,11 +229,11 @@ class StreamingHFLEstimator(_StreamingBase):
                     key=memo_key,
                     epoch=self.n_epochs,
                 )
-            # The branch structure below is estimate_hfl_resource_saving's,
-            # verbatim — the bit-for-bit equivalence contract.
             with self.profiler.phase("estimator.dot_products"):
                 raw = record.local_updates @ val_grad
                 if self.use_logged_weights:
+                    # Absent participants were renormalised to weight 0, so
+                    # the logged weights already zero their round share.
                     row = record.weights * raw
                 elif record.participation is None:
                     row = raw / n
@@ -182,23 +246,15 @@ class StreamingHFLEstimator(_StreamingBase):
                         row = np.where(mask, raw, 0.0) / arrived
         return self._push(row)
 
-    def ingest_log(self, log: TrainingLog, *, start: int = 0) -> int:
-        """Batch-ingest ``log.records[start:]``; returns epochs consumed."""
-        if list(log.participant_ids) != self.participant_ids:
-            raise ValueError(
-                f"log participants {log.participant_ids} do not match "
-                f"{self.participant_ids}"
-            )
-        for record in log.records[start:]:
-            self.ingest(record)
-        return log.n_epochs - start
-
 
 class StreamingVFLEstimator(_StreamingBase):
     """Eq. 27, one :class:`VFLEpochRecord` at a time.
 
     Needs no validation set or model: the VFL log already carries both
-    gradient factors of every per-epoch term.
+    gradient factors of every per-epoch term.  A party whose block update
+    missed round ``t`` applied nothing that round, so its per-epoch
+    contribution is zero — the block term of Eq. 27 only exists for
+    updates that entered ``G_t``.
     """
 
     method = "digfl-vfl"
@@ -224,14 +280,3 @@ class StreamingVFLEstimator(_StreamingBase):
                     record.val_gradient[block] @ record.train_gradient[block]
                 )
         return self._push(row)
-
-    def ingest_log(self, log: VFLTrainingLog, *, start: int = 0) -> int:
-        """Batch-ingest ``log.records[start:]``; returns epochs consumed."""
-        if list(log.active_parties) != self.participant_ids:
-            raise ValueError(
-                f"log parties {log.active_parties} do not match "
-                f"{self.participant_ids}"
-            )
-        for record in log.records[start:]:
-            self.ingest(record)
-        return log.n_epochs - start

@@ -1,12 +1,12 @@
 """Validation gradients of a training log — the shared DIG-FL hot loop.
 
 Every log-based estimator needs ``∇loss^v(θ_{t-1})`` for each epoch: the
-batch estimators of :mod:`repro.core.digfl_hfl` loop over the whole log,
-the streaming estimators of :mod:`repro.serve` consume one epoch at a
-time, and the reweight mechanism evaluates the same gradient mid-training.
-This module is that loop, extracted once, so every path computes the same
-floats through the same expressions — the bit-for-bit streaming/batch
-equivalence of :mod:`repro.serve.streaming` depends on it.
+streaming estimators of :mod:`repro.core.streaming` (whose whole-log fold
+is the batch first-order estimate) take one epoch at a time, Algorithm 1
+(:func:`repro.core.digfl_hfl.estimate_hfl_interactive`) loops over the
+whole log, and the reweight mechanism evaluates the same gradient
+mid-training.  This module is that computation, extracted once, so every
+path computes the same floats through the same expressions.
 
 Both entry points accept an optional *memo* — any ``MutableMapping`` from
 ``(key, epoch)`` to the gradient vector, e.g. the adapter returned by

@@ -6,8 +6,8 @@ The registry interface (:class:`~repro.core.backends.EstimatorBackend`,
 this package holds the implementations, registered at import time:
 
 * ``digfl`` (:mod:`~repro.estimators.digfl`) — the paper's estimators,
-  rebinding the existing batch and streaming code paths unchanged
-  (bit-for-bit equal to the pre-registry call sites);
+  rebinding the streaming classes of :mod:`repro.core.streaming`, whose
+  whole-log fold is also the core batch estimate;
 * ``gtg_shapley`` (:mod:`~repro.estimators.gtg`) — guided truncation
   Monte-Carlo Shapley over models reconstructed from the update log
   (Liu et al., arXiv:2109.02053), seeded and deterministic;

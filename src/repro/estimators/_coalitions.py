@@ -1,8 +1,9 @@
-"""Coalition utilities over reconstructed models — shared MC machinery.
+"""Coalition utilities over reconstructed models — the one coalition pricer.
 
-GTG-Shapley and DPVS both price a coalition ``S`` in round ``t`` the MR
-way (:mod:`repro.shapley.reconstruction`): rebuild the model the
-coalition would have produced from the stored updates,
+GTG-Shapley, DPVS and the MR baseline
+(:func:`repro.shapley.reconstruction.per_round_exact_shapley`) all price a
+coalition ``S`` in round ``t`` here: rebuild the model the coalition would
+have produced from the stored updates,
 
     θ_t(S) = θ_{t-1} − (1/|S|) Σ_{i∈S} δ_{t,i}
 
@@ -61,15 +62,6 @@ class CoalitionValuer:
         self._cache[coalition] = got
         self.evaluations += 1
         return got
-
-
-def check_update_rows(record, n: int) -> None:
-    """The shared shape guard every HFL streaming ingest performs."""
-    if record.local_updates.shape[0] != n:
-        raise ValueError(
-            f"record carries {record.local_updates.shape[0]} update rows, "
-            f"expected {n}"
-        )
 
 
 def present_rows(record) -> np.ndarray:

@@ -1,13 +1,12 @@
 """The ``digfl`` backend: the paper's estimators behind the registry.
 
-This is a *rebinding*, not a reimplementation: the streaming classes are
-:class:`repro.serve.streaming.StreamingHFLEstimator` /
-:class:`~repro.serve.streaming.StreamingVFLEstimator` exactly as the
-evaluation service has always constructed them, and the batch entry
-points delegate to :func:`repro.core.digfl_hfl.estimate_hfl_resource_saving`
-/ :func:`repro.core.digfl_vfl.estimate_vfl_first_order` — so every number
-the ``digfl`` backend produces is ``np.array_equal`` to the pre-registry
-code paths (the seed contract the registry tests pin).
+A *rebinding*, not a reimplementation: the streaming classes are
+:class:`repro.core.streaming.StreamingHFLEstimator` /
+:class:`~repro.core.streaming.StreamingVFLEstimator`, and the batch entry
+points are the base class's whole-log fold over them — the same fold
+:func:`repro.core.digfl_hfl.estimate_hfl_resource_saving` /
+:func:`repro.core.digfl_vfl.estimate_vfl_first_order` perform, so every
+number this backend produces is the core estimators' number.
 """
 
 from __future__ import annotations
@@ -18,10 +17,7 @@ from repro.core.backends import (
     VFLRunContext,
     register_backend,
 )
-from repro.core.contribution import ContributionReport
-from repro.core.digfl_hfl import estimate_hfl_resource_saving
-from repro.core.digfl_vfl import estimate_vfl_first_order
-from repro.serve.streaming import StreamingHFLEstimator, StreamingVFLEstimator
+from repro.core.streaming import StreamingHFLEstimator, StreamingVFLEstimator
 
 
 @register_backend
@@ -44,30 +40,3 @@ class DigFLBackend(EstimatorBackend):
 
     def streaming_vfl(self, ctx: VFLRunContext) -> StreamingVFLEstimator:
         return StreamingVFLEstimator(ctx.feature_blocks, ctx.active_parties)
-
-    def estimate_hfl(
-        self,
-        log,
-        validation,
-        model_factory,
-        *,
-        use_logged_weights: bool = False,
-        ledger=None,
-        val_grad_memo=None,
-        profiler=None,
-    ) -> ContributionReport:
-        # The original batch algorithm, untouched: same floats, same
-        # summation order, same report as before the registry existed.
-        return estimate_hfl_resource_saving(
-            log,
-            validation,
-            model_factory,
-            use_logged_weights=use_logged_weights,
-            ledger=ledger,
-            val_grad_memo=val_grad_memo,
-            profiler=profiler,
-        )
-
-    def estimate_vfl(self, log, *, ledger=None, profiler=None) -> ContributionReport:
-        del profiler  # Eq. 27 has no profiled hot phase of its own
-        return estimate_vfl_first_order(log, ledger=ledger)

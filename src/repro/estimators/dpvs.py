@@ -32,11 +32,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.backends import EstimatorBackend, HFLRunContext, register_backend
+from repro.core.streaming import _StreamingBase, check_update_rows
 from repro.data.dataset import Dataset
-from repro.estimators._coalitions import CoalitionValuer, check_update_rows, present_rows
-from repro.hfl.log import EpochRecord, TrainingLog
+from repro.estimators._coalitions import CoalitionValuer, present_rows
+from repro.hfl.log import EpochRecord
 from repro.nn.models import Classifier
-from repro.serve.streaming import _StreamingBase
 from repro.utils.rng import derive_seed, make_rng
 
 _EPS = 1e-12
@@ -98,17 +98,6 @@ class StreamingDPVSEstimator(_StreamingBase):
         pushed = self._push(row)
         self._update_pruned()
         return pushed
-
-    def ingest_log(self, log: TrainingLog, *, start: int = 0) -> int:
-        """Batch-ingest ``log.records[start:]``; returns epochs consumed."""
-        if list(log.participant_ids) != self.participant_ids:
-            raise ValueError(
-                f"log participants {log.participant_ids} do not match "
-                f"{self.participant_ids}"
-            )
-        for record in log.records[start:]:
-            self.ingest(record)
-        return log.n_epochs - start
 
     # ------------------------------------------------------------ internals
 

@@ -31,7 +31,8 @@ from repro.hfl.log import EpochRecord, TrainingLog
 from repro.metrics.cost import FLOAT64_BYTES, CostLedger
 from repro.nn.models import Classifier
 from repro.nn.optim import LRSchedule
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import Tracer
+from repro.rounds import SyncRounds
 from repro.utils.rng import derive_seed
 from repro.utils.validation import check_positive_int
 
@@ -78,8 +79,7 @@ def masked_weights(mask: np.ndarray, base_weights: np.ndarray) -> np.ndarray:
     """Zero absent/quarantined parties and renormalise the survivors.
 
     An all-zero surviving mass returns zero weights (the round applies no
-    update) — shared by the synchronous trainers and the runtime engine so
-    partial rounds aggregate identically everywhere.
+    update).
     """
     weights = np.where(mask, base_weights, 0.0)
     total = weights.sum()
@@ -213,8 +213,15 @@ class HFLTrainer:
         checkpoint: "CheckpointManager | None" = None,
         resume: bool = False,
         tracer: Tracer | None = None,
+        rounds: SyncRounds | None = None,
     ) -> HFLResult:
         """Run FedSGD and return the final model plus the training log.
+
+        This is the one HFL round loop: it computes every float of the log.
+        A party whose result did not arrive has a zero update row,
+        screening clears more mask bits, the weights are renormalised over
+        the survivors, and the round's mask is logged whenever someone is
+        missing.
 
         Parameters
         ----------
@@ -266,7 +273,12 @@ class HFLTrainer:
             Optional :class:`repro.obs.trace.Tracer`; one
             ``trainer.epoch`` span is emitted per round.  The default is
             the shared no-op tracer, which costs one predicate per epoch.
+        rounds:
+            The round runner (:mod:`repro.rounds`) that runs each round's
+            local work; defaults to ``SyncRounds(tracer)``.  The runtime
+            engine passes its scheduler-backed runner.
         """
+        rounds = rounds if rounds is not None else SyncRounds(tracer)
         participants = resolve_coalition(locals_, participants)
         if (track_validation or reweighter is not None) and validation is None:
             raise ValueError("validation dataset required for tracking / reweighting")
@@ -294,84 +306,86 @@ class HFLTrainer:
                 if screener is not None:
                     screener.warm_start(log)
 
-        tracer = tracer if tracer is not None else NULL_TRACER
-        for epoch in range(start_epoch, self.epochs + 1):
-            # Manual begin/end keeps the loop body untouched; a NULL_SPAN
-            # costs nothing when no tracer was passed.
-            epoch_span = tracer.span("trainer.epoch", epoch=epoch, kind="hfl")
-            lr = self.lr_schedule.lr_at(epoch)
-            theta_before = model.get_flat()
+        with rounds.running("hfl", k, self.epochs, self.model_factory):
+            for epoch in range(start_epoch, self.epochs + 1):
+                rounds.begin_round(epoch)
+                lr = self.lr_schedule.lr_at(epoch)
+                theta_before = model.get_flat()
 
-            local_updates = np.empty((k, p), dtype=np.float64)
-            for row, i in enumerate(participants):
-                local_updates[row] = self.local_update(
-                    model, theta_before, locals_[i], lr, epoch, i
-                )
-            if ledger is not None:
-                # Each participant downloads θ and uploads its local model.
-                ledger.record_bytes("server->participant", k * p * FLOAT64_BYTES)
-                ledger.record_bytes("participant->server", k * p * FLOAT64_BYTES)
+                def work(worker: Classifier, i: int) -> np.ndarray:
+                    return self.local_update(
+                        worker, theta_before, locals_[i], lr, epoch, i
+                    )
 
-            mask = None
-            if screener is not None:
-                mask = screener.screen(epoch, participants, local_updates)
-                if not mask.all():
+                local = rounds.local_work(epoch, participants, work, model)
+                mask = np.array(local.arrived, dtype=bool)
+                local_updates = np.zeros((k, p), dtype=np.float64)
+                for row, update in enumerate(local.results):
+                    if local.arrived[row]:
+                        local_updates[row] = update
+                if ledger is not None:
+                    # Every dispatched party downloads θ; every arrival
+                    # uploads its local model.
+                    size = p * FLOAT64_BYTES
+                    ledger.record_bytes(
+                        "server->participant", sum(local.dispatched) * size
+                    )
+                    ledger.record_bytes(
+                        "participant->server", sum(local.arrived) * size
+                    )
+
+                if screener is not None:
+                    mask = rounds.screen(
+                        screener, epoch, participants, local_updates, mask
+                    )
                     local_updates[~mask] = 0.0
 
-            if reweighter is not None:
-                weights = np.asarray(
-                    reweighter.weights(model, theta_before, local_updates, lr, epoch),
-                    dtype=np.float64,
-                )
-                if weights.shape != (k,):
-                    raise ValueError(
-                        f"reweighter returned shape {weights.shape}, expected ({k},)"
+                if reweighter is not None:
+                    weights = np.asarray(
+                        reweighter.weights(model, theta_before, local_updates, lr, epoch),
+                        dtype=np.float64,
                     )
-                if mask is not None and not mask.all():
-                    weights = masked_weights(mask, weights)
-            elif weight_by_samples:
-                sizes = np.array([len(locals_[i]) for i in participants], dtype=float)
-                if mask is not None and not mask.all():
+                    if weights.shape != (k,):
+                        raise ValueError(
+                            f"reweighter returned shape {weights.shape}, expected ({k},)"
+                        )
+                    if not mask.all():
+                        weights = masked_weights(mask, weights)
+                elif weight_by_samples:
+                    sizes = np.array([len(locals_[i]) for i in participants], dtype=float)
                     weights = masked_weights(mask, sizes)
                 else:
-                    weights = sizes / sizes.sum()
-            elif mask is not None and not mask.all():
-                # Same float expression as the runtime engine's fault path,
-                # so screened sync and engine logs stay bit-for-bit equal.
-                arrived = int(mask.sum())
-                weights = mask / arrived if arrived else np.zeros(k, dtype=np.float64)
-            else:
-                weights = np.full(k, 1.0 / k)
+                    arrived = int(mask.sum())
+                    weights = mask / arrived if arrived else np.zeros(k, dtype=np.float64)
 
-            applied = None
-            if aggregator is None:
-                global_update = weights @ local_updates
-            else:
-                arrived = mask if mask is not None else np.ones(k, dtype=bool)
-                global_update = aggregator.aggregate(local_updates, weights, arrived)
-                if not aggregator.linear:
-                    applied = global_update
-            model.set_flat(theta_before - global_update)
+                applied = None
+                if aggregator is None:
+                    global_update = weights @ local_updates
+                else:
+                    global_update = aggregator.aggregate(local_updates, weights, mask)
+                    if not aggregator.linear:
+                        applied = global_update
+                model.set_flat(theta_before - global_update)
 
-            val_loss = val_acc = float("nan")
-            if track_validation:
-                val_loss = model.loss(validation.X, validation.y).item()
-                val_acc = model.accuracy(validation.X, validation.y)
+                val_loss = val_acc = float("nan")
+                if track_validation:
+                    val_loss = model.loss(validation.X, validation.y).item()
+                    val_acc = model.accuracy(validation.X, validation.y)
 
-            log.records.append(
-                EpochRecord(
-                    epoch=epoch,
-                    lr=lr,
-                    theta_before=theta_before,
-                    local_updates=local_updates,
-                    weights=weights,
-                    val_loss=val_loss,
-                    val_accuracy=val_acc,
-                    participation=None if mask is None or mask.all() else mask,
-                    applied_update=applied,
+                log.records.append(
+                    EpochRecord(
+                        epoch=epoch,
+                        lr=lr,
+                        theta_before=theta_before,
+                        local_updates=local_updates,
+                        weights=weights,
+                        val_loss=val_loss,
+                        val_accuracy=val_acc,
+                        participation=None if mask.all() else mask,
+                        applied_update=applied,
+                    )
                 )
-            )
-            if checkpoint is not None:
-                checkpoint.save(log)
-            epoch_span.end()
+                if checkpoint is not None:
+                    checkpoint.save(log)
+                rounds.end_round(log.records[-1], int(mask.sum()))
         return HFLResult(model=model, log=log)

@@ -13,8 +13,11 @@ Two guarantees, both covered by tests:
 * **Deterministic equivalence** — with the serial executor, the null fault
   plan and no deadline, ``run_hfl``/``run_vfl`` produce the *same log, bit
   for bit* (same ``θ_t``, same ``δ_{t,i}``, same weights) as calling the
-  synchronous trainers directly.  The engine computes every float through
-  the same expressions in the same order; it only adds bookkeeping.
+  synchronous trainers directly.  This holds by construction: the engine
+  has no round loop of its own.  It plugs a runner into the trainers'
+  ``train`` (``rounds=``, see :mod:`repro.rounds`) that runs each party's local work
+  as a scheduler task and records events around the round; every float
+  is computed by the trainers' loop.
 * **Honest partial participation** — when faults or deadlines remove a
   party from round ``t``, its update row is zero, the aggregation weights
   are renormalised over the arrivals, and the round's participation mask
@@ -25,29 +28,23 @@ Two guarantees, both covered by tests:
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol, Sequence
 
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.hfl.log import EpochRecord, TrainingLog
-from repro.hfl.trainer import (
-    HFLResult,
-    HFLTrainer,
-    Reweighter,
-    masked_weights,
-    resolve_coalition,
-)
-from repro.metrics.cost import FLOAT64_BYTES, CostLedger
+from repro.hfl.trainer import HFLResult, HFLTrainer, Reweighter
+from repro.metrics.cost import CostLedger
 from repro.obs import Observability
 from repro.obs.trace import NULL_SPAN
+from repro.rounds import LocalRound, SyncRounds
 from repro.runtime import events as ev
 from repro.runtime.events import EventLog
 from repro.runtime.executor import Executor, make_executor
-from repro.runtime.faults import NULL_PLAN, FaultInjector, FaultPlan
+from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.scheduler import RoundOutcome, Scheduler
-from repro.vfl.log import VFLEpochRecord, VFLTrainingLog
 from repro.vfl.trainer import VFLResult, VFLReweighter, VFLTrainer
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -143,14 +140,6 @@ class FederatedRuntime:
                 detail=e.detail,
             )
 
-    def _scheduler(self, executor: Executor) -> Scheduler:
-        return Scheduler(
-            executor,
-            FaultInjector(self.config.faults),
-            round_deadline_ms=self.config.round_deadline_ms,
-            event_log=self.event_log,
-        )
-
     # ------------------------------------------------------------------ HFL
 
     def run_hfl(
@@ -187,153 +176,21 @@ class FederatedRuntime:
         emitting one ``contrib_updated`` event per round.  Publication is
         read-only bookkeeping — it never changes the training numbers.
         """
-        participants = resolve_coalition(locals_, participants)
-        if (track_validation or reweighter is not None) and validation is None:
-            raise ValueError("validation dataset required for tracking / reweighting")
-        if resume and checkpoint is None:
-            raise ValueError("resume=True requires a checkpoint manager")
-
-        model = trainer.model_factory()
-        if init_theta is not None:
-            model.set_flat(init_theta)
-        p = model.num_parameters()
-        k = len(participants)
-        log = TrainingLog(participant_ids=participants)
-        start_epoch = 1
-        if resume:
-            prior = checkpoint.resume()
-            if prior is not None:
-                if list(prior.participant_ids) != list(participants):
-                    raise ValueError(
-                        f"checkpoint trained participants {prior.participant_ids}, "
-                        f"cannot resume with {participants}"
-                    )
-                log = prior
-                model.set_flat(log.final_theta)
-                start_epoch = log.n_epochs + 1
-                if screener is not None:
-                    screener.warm_start(log)
-        replicas = _ModelReplicas(trainer.model_factory)
-        executor = self.config.make_executor()
-        scheduler = self._scheduler(executor)
-        tracer = self.obs.tracer
-        # Spans are opened/closed manually (not `with`) so the hot loop
-        # keeps its shape; ends are idempotent, and the except arm closes
-        # whatever round was in flight with status="error".
-        run_span = tracer.span(
-            "engine.run", kind="hfl", participants=k, epochs=trainer.epochs
+        return trainer.train(
+            locals_,
+            validation,
+            participants=participants,
+            reweighter=reweighter,
+            init_theta=init_theta,
+            ledger=ledger,
+            track_validation=track_validation,
+            weight_by_samples=weight_by_samples,
+            aggregator=aggregator,
+            screener=screener,
+            checkpoint=checkpoint,
+            resume=resume,
+            rounds=_EngineRounds(self, publisher),
         )
-        round_span = NULL_SPAN
-        try:
-            for epoch in range(start_epoch, trainer.epochs + 1):
-                round_span = tracer.span(
-                    "engine.round", parent=run_span, epoch=epoch, kind="hfl"
-                )
-                round_ctx = round_span.context
-                lr = trainer.lr_schedule.lr_at(epoch)
-                theta_before = model.get_flat()
-
-                def make_task(i: int, ctx=round_ctx):
-                    def task():
-                        # Explicit parent: pool workers have no thread-local
-                        # ancestry, the context handle keeps one trace tree.
-                        with tracer.span(
-                            "engine.task", parent=ctx, epoch=epoch, party=i
-                        ):
-                            worker_model = replicas.get()
-                            worker_model.set_flat(theta_before)
-                            return trainer.local_update(
-                                worker_model, theta_before, locals_[i], lr, epoch, i
-                            )
-
-                    return task
-
-                outcome = scheduler.run_round(
-                    epoch, [(i, make_task(i)) for i in participants]
-                )
-                mask = np.array([o.arrived for o in outcome.outcomes], dtype=bool)
-                local_updates = np.zeros((k, p), dtype=np.float64)
-                for row, o in enumerate(outcome.outcomes):
-                    if o.arrived:
-                        local_updates[row] = o.result
-                if ledger is not None:
-                    self._charge_round(ledger, outcome, p)
-
-                if screener is not None:
-                    mask = self._screen_round(
-                        screener, epoch, participants, local_updates, mask,
-                        sim_time=outcome.ended_at,
-                    )
-                    local_updates[~mask] = 0.0
-
-                if reweighter is not None:
-                    weights = np.asarray(
-                        reweighter.weights(
-                            model, theta_before, local_updates, lr, epoch
-                        ),
-                        dtype=np.float64,
-                    )
-                    if weights.shape != (k,):
-                        raise ValueError(
-                            f"reweighter returned shape {weights.shape}, "
-                            f"expected ({k},)"
-                        )
-                    if not mask.all():
-                        weights = masked_weights(mask, weights)
-                elif weight_by_samples:
-                    sizes = np.array(
-                        [len(locals_[i]) for i in participants], dtype=float
-                    )
-                    weights = masked_weights(mask, sizes)
-                else:
-                    arrived = int(mask.sum())
-                    weights = (
-                        mask / arrived if arrived else np.zeros(k, dtype=np.float64)
-                    )
-
-                applied = None
-                if aggregator is None:
-                    global_update = weights @ local_updates
-                else:
-                    global_update = aggregator.aggregate(
-                        local_updates, weights, mask
-                    )
-                    if not aggregator.linear:
-                        applied = global_update
-                model.set_flat(theta_before - global_update)
-
-                val_loss = val_acc = float("nan")
-                if track_validation:
-                    val_loss = model.loss(validation.X, validation.y).item()
-                    val_acc = model.accuracy(validation.X, validation.y)
-
-                log.records.append(
-                    EpochRecord(
-                        epoch=epoch,
-                        lr=lr,
-                        theta_before=theta_before,
-                        local_updates=local_updates,
-                        weights=weights,
-                        val_loss=val_loss,
-                        val_accuracy=val_acc,
-                        participation=None if mask.all() else mask,
-                        applied_update=applied,
-                    )
-                )
-                if checkpoint is not None:
-                    checkpoint.save(log)
-                if publisher is not None:
-                    self._publish_round(publisher, log.records[-1], outcome)
-                round_span.set_attribute("arrived", int(mask.sum()))
-                round_span.end()
-        except BaseException:
-            round_span.end(status="error")
-            run_span.end(status="error")
-            raise
-        finally:
-            executor.shutdown()
-            run_span.end()
-        return HFLResult(model=model, log=log)
 
     # ------------------------------------------------------------------ VFL
 
@@ -355,197 +212,129 @@ class FederatedRuntime:
         """Vertical training on the engine; mirrors ``VFLTrainer.train``.
 
         A party that misses round ``t``'s deadline simply does not apply
-        its block update that round (its weight is zeroed).  Because a
-        frozen block leaves that party's local outputs unchanged, the
-        coordinator's cached values stay exact — dropping an update is the
-        *whole* effect of the fault, which is why this path can share the
-        plaintext trainer's single full-gradient evaluation.
-
-        ``screener`` runs the :mod:`repro.robust` screening pass over the
-        per-party gradient blocks of the parties that arrived (cosine rule
-        disabled across disjoint blocks); quarantined parties are treated
-        exactly like deadline misses and each incident is emitted as a
+        its block update that round (its weight is zeroed).  ``screener``
+        runs the :mod:`repro.robust` screening pass over the per-party
+        gradient blocks of the parties that arrived (cosine rule disabled
+        across disjoint blocks); quarantined parties are treated exactly
+        like deadline misses and each incident is emitted as a
         ``quarantine`` event.  ``checkpoint`` / ``resume`` / ``publisher``
         behave as on :meth:`run_hfl`.
         """
-        if resume and checkpoint is None:
-            raise ValueError("resume=True requires a checkpoint manager")
-        if parties is None:
-            parties = list(range(trainer.n_parties))
-        else:
-            parties = sorted(set(parties))
-        bad = [i for i in parties if not 0 <= i < trainer.n_parties]
-        if bad:
-            raise ValueError(f"unknown party indices {bad}")
-        if not parties:
-            raise ValueError("coalition must contain at least one party")
-
-        model = trainer.model
-        d = model.n_coefficients(train.X)
-        all_blocks = np.concatenate(trainer.feature_blocks)
-        if len(all_blocks) != d or all_blocks.max() >= d:
-            raise ValueError(
-                f"party blocks cover {len(all_blocks)} coefficients but the "
-                f"model has {d}; multiclass blocks must be expanded with "
-                "expand_feature_blocks"
-            )
-        theta = np.zeros(d)
-        active_mask = np.zeros(d, dtype=bool)
-        for i in parties:
-            active_mask[trainer.feature_blocks[i]] = True
-
-        log = VFLTrainingLog(
-            feature_blocks=list(trainer.feature_blocks),
-            active_parties=list(parties),
+        return trainer.train(
+            train,
+            validation,
+            parties=parties,
+            reweighter=reweighter,
+            ledger=ledger,
+            track_losses=track_losses,
+            screener=screener,
+            checkpoint=checkpoint,
+            resume=resume,
+            rounds=_EngineRounds(self, publisher),
         )
-        m = len(train)
-        start_epoch = 1
-        if resume:
-            prior = checkpoint.resume()
-            if prior is not None:
-                if list(prior.active_parties) != list(parties):
-                    raise ValueError(
-                        f"checkpoint trained parties {prior.active_parties}, "
-                        f"cannot resume with {parties}"
-                    )
-                log = prior
-                theta = log.final_theta
-                start_epoch = log.n_epochs + 1
-                if screener is not None:
-                    screener.warm_start(log)
-        executor = self.config.make_executor()
-        scheduler = self._scheduler(executor)
-        tracer = self.obs.tracer
-        run_span = tracer.span(
-            "engine.run", kind="vfl", participants=len(parties), epochs=trainer.epochs
+
+
+class _EngineRounds(SyncRounds):
+    """The engine's round runner for the trainers' shared round loop.
+
+    Each party's local work becomes a scheduler task (fault fate, simulated
+    clock, deadline, executor; HFL work runs on a per-thread model
+    replica), and around every round the runner records spans, one
+    ``quarantine`` event per screening incident and the live publication.
+    Spans are opened and closed manually, so an error ends whatever round
+    was in flight with ``status="error"``.
+    """
+
+    def __init__(
+        self, runtime: FederatedRuntime, publisher: ContributionSink | None
+    ) -> None:
+        super().__init__(runtime.obs.tracer)
+        self.runtime = runtime
+        self.publisher = publisher
+        self._run_span = NULL_SPAN
+        self._outcome: RoundOutcome | None = None
+
+    @contextmanager
+    def running(self, kind, n_parties, epochs, model_factory=None):
+        config = self.runtime.config
+        self._replicas = _ModelReplicas(model_factory) if model_factory else None
+        executor = config.make_executor()
+        self._scheduler = Scheduler(
+            executor,
+            FaultInjector(config.faults),
+            round_deadline_ms=config.round_deadline_ms,
+            event_log=self.runtime.event_log,
         )
-        round_span = NULL_SPAN
+        self._run_span = self.tracer.span(
+            "engine.run", kind=kind, participants=n_parties, epochs=epochs
+        )
         try:
-            for epoch in range(start_epoch, trainer.epochs + 1):
-                round_span = tracer.span(
-                    "engine.round", parent=run_span, epoch=epoch, kind="vfl"
-                )
-                round_ctx = round_span.context
-                lr = trainer.lr_schedule.lr_at(epoch)
-                grad = model.gradient(theta, train.X, train.y)
-                grad = np.where(active_mask, grad, 0.0)
-                val_grad = model.gradient(theta, validation.X, validation.y)
-                val_grad = np.where(active_mask, val_grad, 0.0)
-
-                def make_task(i: int, ctx=round_ctx):
-                    block = trainer.feature_blocks[i]
-
-                    def task():
-                        # The party's round work: pick up its gradient block
-                        # (in the deployed protocol it computes this from
-                        # the coordinator's residual).
-                        with tracer.span(
-                            "engine.task", parent=ctx, epoch=epoch, party=i
-                        ):
-                            return grad[block].copy()
-
-                    return task
-
-                outcome = scheduler.run_round(
-                    epoch, [(i, make_task(i)) for i in parties]
-                )
-                arrived = set(outcome.arrived_parties)
-                if screener is not None:
-                    arrival_mask = np.array(
-                        [i in arrived for i in parties], dtype=bool
-                    )
-                    blocks = [grad[trainer.feature_blocks[i]] for i in parties]
-                    verdict = self._screen_round(
-                        screener, epoch, parties, blocks, arrival_mask,
-                        sim_time=outcome.ended_at, homogeneous=False,
-                    )
-                    survived = {i for i, ok in zip(parties, verdict) if ok}
-                    for i in arrived - survived:
-                        # Freeze the quarantined block: zero its recorded
-                        # gradient so reconstructed θ never multiplies a
-                        # non-finite value by its zero weight.
-                        grad[trainer.feature_blocks[i]] = 0.0
-                    arrived = survived
-                if ledger is not None:
-                    for o in outcome.outcomes:
-                        if o.status == "dropout":
-                            continue  # never uploaded its local result
-                        ledger.record_bytes(
-                            "party->coordinator", m * FLOAT64_BYTES
-                        )
-                        if o.arrived:
-                            ledger.record_bytes(
-                                "coordinator->party",
-                                len(trainer.feature_blocks[o.party])
-                                * FLOAT64_BYTES,
-                            )
-
-                weights = np.ones(trainer.n_parties)
-                if reweighter is not None:
-                    weights = np.asarray(
-                        reweighter.weights(
-                            theta, grad, val_grad, lr, epoch, parties
-                        ),
-                        dtype=np.float64,
-                    )
-                    if weights.shape != (trainer.n_parties,):
-                        raise ValueError(
-                            f"reweighter returned shape {weights.shape}, "
-                            f"expected ({trainer.n_parties},)"
-                        )
-                full = len(arrived) == len(parties)
-                participation = None
-                if not full:
-                    participation = np.zeros(trainer.n_parties, dtype=bool)
-                    participation[list(arrived)] = True
-                    weights = np.where(participation, weights, 0.0)
-
-                train_loss = val_loss = float("nan")
-                if track_losses:
-                    train_loss = model.loss(theta, train.X, train.y)
-                    val_loss = model.loss(theta, validation.X, validation.y)
-
-                log.records.append(
-                    VFLEpochRecord(
-                        epoch=epoch,
-                        lr=lr,
-                        theta_before=theta.copy(),
-                        train_gradient=grad,
-                        val_gradient=val_grad,
-                        weights=weights,
-                        train_loss=train_loss,
-                        val_loss=val_loss,
-                        participation=participation,
-                    )
-                )
-
-                update = np.zeros(d)
-                for i in parties:
-                    if i not in arrived:
-                        continue
-                    block = trainer.feature_blocks[i]
-                    update[block] = weights[i] * outcome.result_of(i)
-                theta = theta - lr * update
-                if checkpoint is not None:
-                    checkpoint.save(log)
-                if publisher is not None:
-                    self._publish_round(publisher, log.records[-1], outcome)
-                round_span.set_attribute("arrived", len(arrived))
-                round_span.end()
+            with super().running(kind, n_parties, epochs):
+                yield
         except BaseException:
-            round_span.end(status="error")
-            run_span.end(status="error")
+            self._run_span.end(status="error")
             raise
         finally:
             executor.shutdown()
-            run_span.end()
-        return VFLResult(theta=theta, log=log, model=model)
+            self._run_span.end()
 
-    # ------------------------------------------------------------- plumbing
+    def begin_round(self, epoch):
+        self._span = self.tracer.span(
+            "engine.round", parent=self._run_span, epoch=epoch, kind=self.kind
+        )
 
-    def _publish_round(
-        self, publisher: ContributionSink, record, outcome: RoundOutcome
-    ) -> None:
+    def local_work(self, epoch, parties, work, model=None):
+        tracer = self.tracer
+        ctx = self._span.context
+        replicas = self._replicas
+        theta = None if model is None else model.get_flat()
+
+        def make_task(i: int):
+            def task():
+                # Explicit parent: pool workers have no thread-local
+                # ancestry, the context handle keeps one trace tree.
+                with tracer.span("engine.task", parent=ctx, epoch=epoch, party=i):
+                    worker = None
+                    if theta is not None:
+                        worker = replicas.get()
+                        worker.set_flat(theta)
+                    return work(worker, i)
+
+            return task
+
+        outcome = self._scheduler.run_round(epoch, [(i, make_task(i)) for i in parties])
+        self._outcome = outcome
+        return LocalRound(
+            [o.result for o in outcome.outcomes],
+            [o.arrived for o in outcome.outcomes],
+            [o.status != "dropout" for o in outcome.outcomes],
+        )
+
+    def screen(self, screener, epoch, parties, updates, mask, *, homogeneous=True):
+        """Run the screening pass, emitting one ``quarantine`` event per incident."""
+        before = len(screener.ledger)
+        verdict = super().screen(
+            screener, epoch, parties, updates, mask, homogeneous=homogeneous
+        )
+        for incident in screener.ledger.incidents[before:]:
+            self.runtime.quarantines_total.inc()
+            self.runtime.event_log.record(
+                ev.QUARANTINE,
+                self._outcome.ended_at,
+                epoch,
+                incident.party,
+                rule=incident.rule,
+                **incident.detail,
+            )
+        return verdict
+
+    def end_round(self, record, arrived):
+        if self.publisher is not None:
+            self._publish(record)
+        self._span.set_attribute("arrived", arrived)
+        self._span.end()
+
+    def _publish(self, record) -> None:
         """Push one finished round into the sink; emit ``contrib_updated``.
 
         Publication must never take down training: a sink that raises (a
@@ -554,53 +343,18 @@ class FederatedRuntime:
         exhausting its backoff schedule, but arbitrary sinks may) is
         recorded as a ``publish_dlq`` event and the round goes on.
         """
+        event_log = self.runtime.event_log
+        ended_at = self._outcome.ended_at
         try:
-            detail = publisher.publish(record)
+            detail = self.publisher.publish(record)
         except Exception as exc:
-            self.event_log.record(
+            event_log.record(
                 ev.PUBLISH_DLQ,
-                outcome.ended_at,
+                ended_at,
                 record.epoch,
                 error=f"{type(exc).__name__}: {exc}",
             )
             return
         detail = detail if isinstance(detail, dict) else {}
         kind = ev.PUBLISH_DLQ if detail.get("dead_letter") else ev.CONTRIB_UPDATED
-        self.event_log.record(kind, outcome.ended_at, record.epoch, **detail)
-
-    def _screen_round(
-        self,
-        screener: "UpdateScreener",
-        round: int,
-        party_ids: Sequence[int],
-        updates,
-        mask: np.ndarray,
-        *,
-        sim_time: float,
-        homogeneous: bool = True,
-    ) -> np.ndarray:
-        """Run the screening pass, emitting one ``quarantine`` event per incident."""
-        before = len(screener.ledger)
-        verdict = screener.screen(
-            round, party_ids, updates, mask, homogeneous=homogeneous
-        )
-        for incident in screener.ledger.incidents[before:]:
-            self.quarantines_total.inc()
-            self.event_log.record(
-                ev.QUARANTINE,
-                sim_time,
-                round,
-                incident.party,
-                rule=incident.rule,
-                **incident.detail,
-            )
-        return verdict
-
-    def _charge_round(
-        self, ledger: CostLedger, outcome: RoundOutcome, p: int
-    ) -> None:
-        """Bytes for one HFL round: downloads for dispatched, uploads for arrived."""
-        dispatched = sum(1 for o in outcome.outcomes if o.status != "dropout")
-        arrived = len(outcome.arrived_parties)
-        ledger.record_bytes("server->participant", dispatched * p * FLOAT64_BYTES)
-        ledger.record_bytes("participant->server", arrived * p * FLOAT64_BYTES)
+        event_log.record(kind, ended_at, record.epoch, **detail)

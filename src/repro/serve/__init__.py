@@ -6,13 +6,14 @@ estimation math — is the bottleneck.  This package exploits the paper's
 per-epoch additivity (Lemma 3, Eq. 13–15) to make contributions
 *incrementally* computable and cheaply *queryable*:
 
-* :mod:`~repro.serve.streaming` — :class:`StreamingHFLEstimator` /
-  :class:`StreamingVFLEstimator` consume one epoch record at a time,
-  bit-for-bit equal to the batch estimators on any prefix; these are the
-  default ``digfl`` backend of the :mod:`repro.estimators` registry, and
-  ``POST /runs`` accepts any registered backend via its ``estimator:``
-  field (``gtg_shapley``, ``dpvs``, ...), folding the backend name and
-  options into the run's cache digest;
+* the streaming estimators it serves live in :mod:`repro.core.streaming`
+  (:class:`StreamingHFLEstimator` / :class:`StreamingVFLEstimator`,
+  re-exported here) and consume one epoch record at a time — the batch
+  estimators are their whole-log fold; these are the default ``digfl``
+  backend of the :mod:`repro.estimators` registry, and ``POST /runs``
+  accepts any registered backend via its ``estimator:`` field
+  (``gtg_shapley``, ``dpvs``, ...), folding the backend name and options
+  into the run's cache digest;
 * :mod:`~repro.serve.cache` — :class:`ResultCache`, a content-addressed
   LRU keyed on the same SHA-256 array hashes :mod:`repro.io` embeds in
   saved logs;
@@ -46,6 +47,7 @@ per-epoch additivity (Lemma 3, Eq. 13–15) to make contributions
   ``POST /cluster/resize`` rebalance.
 """
 
+from repro.core.streaming import StreamingHFLEstimator, StreamingVFLEstimator
 from repro.serve.cache import CacheMemo, ResultCache, RunDigest, fingerprint_arrays
 from repro.serve.chaos import ChaosError, ChaosPolicy, FlakyProxy, inject_chaos
 from repro.serve.cluster import (
@@ -78,7 +80,6 @@ from repro.serve.resilience import (
 )
 from repro.serve.ring import HashRing, ResizePlan
 from repro.serve.service import ContributionPublisher, EvaluationService
-from repro.serve.streaming import StreamingHFLEstimator, StreamingVFLEstimator
 from repro.serve.wal import (
     RecoveryReport,
     WriteAheadLog,

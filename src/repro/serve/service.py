@@ -50,6 +50,7 @@ import numpy as np
 
 from repro.core.backends import HFLRunContext, VFLRunContext, get_backend
 from repro.core.contribution import ContributionReport
+from repro.core.streaming import _StreamingBase
 from repro.data.dataset import Dataset
 from repro.hfl.log import EpochRecord, TrainingLog
 from repro.metrics.cost import LatencyHistogram
@@ -69,7 +70,6 @@ from repro.serve.resilience import (
     ServiceOverloaded,
     retry_after_seconds,
 )
-from repro.serve.streaming import _StreamingBase
 from repro.vfl.log import VFLEpochRecord, VFLTrainingLog
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import

@@ -6,8 +6,10 @@ coalition ``S`` would have produced from the stored updates:
     θ_t(S) = θ_{t-1} − (1/|S|) Σ_{i∈S} δ_{t,i}
 
 The round utility is the validation improvement
-``u_t(S) = loss^v(θ_{t-1}) − loss^v(θ_t(S))`` and the round Shapley values
-follow Eq. 1 exactly; totals are summed over rounds.  No retraining — but
+``u_t(S) = loss^v(θ_{t-1}) − loss^v(θ_t(S))`` — priced by the
+:class:`~repro.estimators._coalitions.CoalitionValuer` that GTG-Shapley and
+DPVS share — and the round Shapley values follow Eq. 1 exactly; totals
+are summed over rounds.  No retraining — but
 ``2^n`` validation evaluations *per round*, the exponential cost the paper
 criticises (Sec. VI-B).
 
@@ -26,6 +28,7 @@ import numpy as np
 
 from repro.core.contribution import ContributionReport, from_per_epoch
 from repro.data.dataset import Dataset
+from repro.estimators._coalitions import CoalitionValuer, present_rows
 from repro.hfl.log import TrainingLog
 from repro.metrics.cost import CostLedger
 from repro.nn.models import Classifier
@@ -38,44 +41,35 @@ def per_round_exact_shapley(
     *,
     ledger: CostLedger | None = None,
 ) -> np.ndarray:
-    """Exact per-round Shapley matrix (τ, n) from reconstructed aggregates."""
+    """Exact per-round Shapley matrix (τ, n) from reconstructed aggregates.
+
+    Each round's game is played over the participants whose update
+    entered that round's aggregate (:func:`present_rows`): a participant
+    absent or quarantined in round ``t`` shipped nothing and scores
+    exactly zero there, and the grand coalition is the model the server
+    actually applied.  Logs without participation masks play every round
+    over everyone.
+    """
     if log.n_epochs == 0:
         raise ValueError("training log is empty")
     ledger = ledger or CostLedger()
     model = model_factory()
-    n = log.n_participants
-    players = list(range(n))
-    per_epoch = np.zeros((log.n_epochs, n))
+    per_epoch = np.zeros((log.n_epochs, log.n_participants))
 
     with ledger.computing():
         for t, record in enumerate(log.records):
-
-            def round_utility(coalition: frozenset[int]) -> float:
-                if not coalition:
-                    return 0.0
-                members = sorted(coalition)
-                update = record.local_updates[members].mean(axis=0)
-                model.set_flat(record.theta_before - update)
-                after = model.loss(validation.X, validation.y).item()
-                return base_loss - after
-
-            model.set_flat(record.theta_before)
-            base_loss = model.loss(validation.X, validation.y).item()
-
-            cache: dict[frozenset[int], float] = {}
-
-            def cached(coalition: frozenset[int]) -> float:
-                if coalition not in cache:
-                    cache[coalition] = round_utility(coalition)
-                return cache[coalition]
-
+            valuer = CoalitionValuer(model, record, validation, phase="mr.reconstruct")
+            players = [int(i) for i in present_rows(record)]
+            m = len(players)
             for i in players:
                 others = [j for j in players if j != i]
-                for size in range(n):
-                    weight = 1.0 / (n * comb(n - 1, size))
+                for size in range(m):
+                    weight = 1.0 / (m * comb(m - 1, size))
                     for subset in combinations(others, size):
                         s = frozenset(subset)
-                        per_epoch[t, i] += weight * (cached(s | {i}) - cached(s))
+                        per_epoch[t, i] += weight * (
+                            valuer.value(s | {i}) - valuer.value(s)
+                        )
     return per_epoch
 
 

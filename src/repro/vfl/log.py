@@ -60,6 +60,11 @@ class VFLTrainingLog:
         return len(self.feature_blocks)
 
     @property
+    def participant_ids(self) -> list[int]:
+        """The evaluated parties — the HFL log's name for ``active_parties``."""
+        return self.active_parties
+
+    @property
     def n_epochs(self) -> int:
         return len(self.records)
 

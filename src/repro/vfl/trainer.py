@@ -23,7 +23,8 @@ from repro.data.dataset import Dataset
 from repro.metrics.cost import FLOAT64_BYTES, CostLedger
 from repro.models.linear import make_vfl_model
 from repro.nn.optim import LRSchedule
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import Tracer
+from repro.rounds import SyncRounds
 from repro.utils.validation import check_positive_int
 from repro.vfl.log import VFLEpochRecord, VFLTrainingLog
 
@@ -110,8 +111,15 @@ class VFLTrainer:
         checkpoint: "CheckpointManager | None" = None,
         resume: bool = False,
         tracer: Tracer | None = None,
+        rounds: SyncRounds | None = None,
     ) -> VFLResult:
         """Gradient-descent training restricted to a coalition of parties.
+
+        This is the one VFL round loop.  A party's round work is picking up
+        its gradient block; one whose block did not arrive (a runtime
+        fault) is treated like a quarantined party below.  A frozen block
+        leaves that party's local outputs unchanged, so the coordinator's
+        single full-gradient evaluation stays exact under partial rounds.
 
         The recorded ``train_gradient``/``val_gradient`` are the *full*
         vectors with excluded parties' blocks zeroed — matching the
@@ -127,8 +135,11 @@ class VFLTrainer:
         ``resume`` persist the log per round and continue from the last
         complete round, as in :meth:`repro.hfl.trainer.HFLTrainer.train`.
         ``tracer`` emits one ``trainer.epoch`` span per round (defaults to
-        the shared no-op tracer).
+        the shared no-op tracer).  ``rounds`` is the round runner
+        (:mod:`repro.rounds`), ``SyncRounds(tracer)`` by default; the
+        runtime engine passes its scheduler-backed runner.
         """
+        rounds = rounds if rounds is not None else SyncRounds(tracer)
         if resume and checkpoint is None:
             raise ValueError("resume=True requires a checkpoint manager")
         if parties is None:
@@ -142,7 +153,8 @@ class VFLTrainer:
             raise ValueError("coalition must contain at least one party")
 
         d = self.model.n_coefficients(train.X)
-        all_blocks = np.concatenate(self.feature_blocks)
+        blocks = self.feature_blocks
+        all_blocks = np.concatenate(blocks)
         if len(all_blocks) != d or all_blocks.max() >= d:
             raise ValueError(
                 f"party blocks cover {len(all_blocks)} coefficients but the "
@@ -152,11 +164,9 @@ class VFLTrainer:
         theta = np.zeros(d)  # θ_0 = 0, required by the removal argument
         active_mask = np.zeros(d, dtype=bool)
         for i in parties:
-            active_mask[self.feature_blocks[i]] = True
+            active_mask[blocks[i]] = True
 
-        log = VFLTrainingLog(
-            feature_blocks=list(self.feature_blocks), active_parties=list(parties)
-        )
+        log = VFLTrainingLog(feature_blocks=list(blocks), active_parties=list(parties))
         m = len(train)
         start_epoch = 1
         if resume:
@@ -173,84 +183,99 @@ class VFLTrainer:
                 if screener is not None:
                     screener.warm_start(log)
 
-        tracer = tracer if tracer is not None else NULL_TRACER
-        for epoch in range(start_epoch, self.epochs + 1):
-            # Manual begin/end keeps the loop body untouched; a NULL_SPAN
-            # costs nothing when no tracer was passed.
-            epoch_span = tracer.span("trainer.epoch", epoch=epoch, kind="vfl")
-            lr = self.lr_schedule.lr_at(epoch)
-            grad = self.model.gradient(theta, train.X, train.y)
-            grad = np.where(active_mask, grad, 0.0)
-            val_grad = self.model.gradient(theta, validation.X, validation.y)
-            val_grad = np.where(active_mask, val_grad, 0.0)
+        with rounds.running("vfl", len(parties), self.epochs):
+            for epoch in range(start_epoch, self.epochs + 1):
+                rounds.begin_round(epoch)
+                lr = self.lr_schedule.lr_at(epoch)
+                grad = self.model.gradient(theta, train.X, train.y)
+                grad = np.where(active_mask, grad, 0.0)
+                val_grad = self.model.gradient(theta, validation.X, validation.y)
+                val_grad = np.where(active_mask, val_grad, 0.0)
 
-            quarantined: list[int] = []
-            if screener is not None:
-                blocks = [grad[self.feature_blocks[i]] for i in parties]
-                verdict = screener.screen(
-                    epoch, parties, blocks, homogeneous=False
-                )
-                quarantined = [i for i, ok in zip(parties, verdict) if not ok]
+                def work(_model, i: int, grad=grad) -> np.ndarray:
+                    # In the deployed protocol the party computes its block
+                    # from the coordinator's residual.
+                    return grad[blocks[i]]
 
-            if ledger is not None:
-                # Per round each party ships its local result u_i (m values)
-                # and receives its gradient block back.
-                for i in parties:
-                    ledger.record_bytes("party->coordinator", m * FLOAT64_BYTES)
-                    ledger.record_bytes(
-                        "coordinator->party", len(self.feature_blocks[i]) * FLOAT64_BYTES
+                local = rounds.local_work(epoch, parties, work)
+                present = local.arrived
+                if screener is not None:
+                    verdict = rounds.screen(
+                        screener,
+                        epoch,
+                        parties,
+                        [grad[blocks[i]] for i in parties],
+                        np.array(present, dtype=bool),
+                        homogeneous=False,
+                    ).tolist()
+                    for i, was, now in zip(parties, present, verdict):
+                        if was and not now:
+                            # Freeze the quarantined block: zero its recorded
+                            # gradient so reconstructed θ never multiplies a
+                            # non-finite value by its zero weight.
+                            grad[blocks[i]] = 0.0
+                    present = verdict
+                if ledger is not None:
+                    # Each party that took part ships its local result u_i
+                    # (m values); each arrival receives its gradient block.
+                    for i, sent, got in zip(parties, local.dispatched, local.arrived):
+                        if sent:
+                            ledger.record_bytes("party->coordinator", m * FLOAT64_BYTES)
+                        if got:
+                            ledger.record_bytes(
+                                "coordinator->party", len(blocks[i]) * FLOAT64_BYTES
+                            )
+
+                weights = np.ones(self.n_parties)
+                if reweighter is not None:
+                    weights = np.asarray(
+                        reweighter.weights(theta, grad, val_grad, lr, epoch, parties),
+                        dtype=np.float64,
                     )
+                    if weights.shape != (self.n_parties,):
+                        raise ValueError(
+                            f"reweighter returned shape {weights.shape}, "
+                            f"expected ({self.n_parties},)"
+                        )
 
-            weights = np.ones(self.n_parties)
-            if reweighter is not None:
-                weights = np.asarray(
-                    reweighter.weights(theta, grad, val_grad, lr, epoch, parties),
-                    dtype=np.float64,
-                )
-                if weights.shape != (self.n_parties,):
-                    raise ValueError(
-                        f"reweighter returned shape {weights.shape}, "
-                        f"expected ({self.n_parties},)"
+                participation = None
+                if not all(present):
+                    # A missing block applies nothing: zero its weight and
+                    # mark the party absent, so the estimators give it zero
+                    # contribution this round.
+                    participation = np.zeros(self.n_parties, dtype=bool)
+                    for i, ok in zip(parties, present):
+                        if ok:
+                            participation[i] = True
+                        else:
+                            weights[i] = 0.0
+
+                train_loss = val_loss = float("nan")
+                if track_losses:
+                    train_loss = self.model.loss(theta, train.X, train.y)
+                    val_loss = self.model.loss(theta, validation.X, validation.y)
+
+                log.records.append(
+                    VFLEpochRecord(
+                        epoch=epoch,
+                        lr=lr,
+                        theta_before=theta.copy(),
+                        train_gradient=grad,
+                        val_gradient=val_grad,
+                        weights=weights,
+                        train_loss=train_loss,
+                        val_loss=val_loss,
+                        participation=participation,
                     )
-
-            participation = None
-            if quarantined:
-                # Frozen blocks ship nothing: zero the recorded gradient
-                # block and the weight, and mark the party absent so the
-                # estimators give it zero contribution this round.
-                participation = np.zeros(self.n_parties, dtype=bool)
-                participation[list(parties)] = True
-                for i in quarantined:
-                    participation[i] = False
-                    weights[i] = 0.0
-                    grad[self.feature_blocks[i]] = 0.0
-
-            train_loss = val_loss = float("nan")
-            if track_losses:
-                train_loss = self.model.loss(theta, train.X, train.y)
-                val_loss = self.model.loss(theta, validation.X, validation.y)
-
-            log.records.append(
-                VFLEpochRecord(
-                    epoch=epoch,
-                    lr=lr,
-                    theta_before=theta.copy(),
-                    train_gradient=grad,
-                    val_gradient=val_grad,
-                    weights=weights,
-                    train_loss=train_loss,
-                    val_loss=val_loss,
-                    participation=participation,
                 )
-            )
 
-            update = np.zeros(d)
-            for i in parties:
-                block = self.feature_blocks[i]
-                update[block] = weights[i] * grad[block]
-            theta = theta - lr * update
-            if checkpoint is not None:
-                checkpoint.save(log)
-            epoch_span.end()
+                update = np.zeros(d)
+                for i, ok, block_grad in zip(parties, present, local.results):
+                    if ok:
+                        update[blocks[i]] = weights[i] * block_grad
+                theta = theta - lr * update
+                if checkpoint is not None:
+                    checkpoint.save(log)
+                rounds.end_round(log.records[-1], sum(present))
 
         return VFLResult(theta=theta, log=log, model=self.model)

@@ -180,6 +180,14 @@ class TestChooseBackend:
         name = choose_backend(4, "hfl")
         assert name in backend_names()
 
+    def test_working_directory_is_not_an_input(self, tmp_path, monkeypatch):
+        # A conflicting bench file in the cwd must not change the answer:
+        # "auto" may not depend on where a server was started.
+        before = [choose_backend(n, "hfl") for n in range(1, 9)]
+        self._bench(tmp_path, {"crossover": {"n_parties": 100}})
+        monkeypatch.chdir(tmp_path)
+        assert [choose_backend(n, "hfl") for n in range(1, 9)] == before
+
     def test_validation(self):
         with pytest.raises(ValueError, match="n_parties"):
             choose_backend(0, "hfl")

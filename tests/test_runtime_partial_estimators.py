@@ -23,6 +23,7 @@ from repro.core import (
 from repro.data import build_hfl_federation, mnist_like
 from repro.experiments.workloads import build_vfl_workload
 from repro.hfl import HFLTrainer
+from repro.hfl.attacks import AdversarialHFLTrainer, scale
 from repro.hfl.log import EpochRecord, TrainingLog
 from repro.hfl.trainer import flat_gradient
 from repro.io import (
@@ -32,7 +33,12 @@ from repro.io import (
     save_vfl_training_log,
 )
 from repro.nn import LRSchedule, make_hfl_model
+from repro.robust.quarantine import QuarantineLedger
+from repro.robust.screening import ScreenConfig, UpdateScreener
 from repro.runtime import FaultPlan, FederatedRuntime, RuntimeConfig
+from repro.shapley.exact import exact_shapley_values
+from repro.shapley.reconstruction import per_round_exact_shapley
+from repro.shapley.utility import CallableUtility
 from repro.vfl.log import VFLEpochRecord, VFLTrainingLog
 
 K = 3  # participants in the hand-built HFL logs
@@ -195,6 +201,69 @@ class TestInteractivePartial:
         )
         np.testing.assert_allclose(
             interactive.per_epoch[0], first_order.per_epoch[0], rtol=1e-10
+        )
+
+
+def _present_only_shapley(log, validation):
+    """Each round's exact Shapley values on the game of its present parties.
+
+    Written against :func:`repro.shapley.exact.exact_shapley_values` and a
+    longhand reconstruction utility, sharing no code with MR.
+    """
+    model = _factory()
+    expected = np.zeros((log.n_epochs, log.n_participants))
+    for t, record in enumerate(log.records):
+        present = np.flatnonzero(record.participation_mask())
+        if not present.size:
+            continue
+        model.set_flat(record.theta_before)
+        base = model.loss(validation.X, validation.y).item()
+
+        def utility(coalition, record=record, present=present, base=base):
+            rows = present[sorted(coalition)]
+            model.set_flat(record.theta_before - record.local_updates[rows].mean(axis=0))
+            return base - model.loss(validation.X, validation.y).item()
+
+        game = CallableUtility(present.size, utility)
+        expected[t, present] = exact_shapley_values(game)
+    return expected
+
+
+class TestMRPartial:
+    """MR plays each round over the parties whose update entered it."""
+
+    def test_absent_parties_score_exactly_zero(self, hfl_log, validation):
+        per_epoch = per_round_exact_shapley(hfl_log, validation, _factory)
+        matrix = hfl_log.participation_matrix()
+        assert not matrix.all()
+        np.testing.assert_array_equal(per_epoch[~matrix], 0.0)
+
+    def test_present_parties_get_the_present_only_game(self, hfl_log, validation):
+        per_epoch = per_round_exact_shapley(hfl_log, validation, _factory)
+        np.testing.assert_allclose(
+            per_epoch, _present_only_shapley(hfl_log, validation), rtol=1e-10, atol=1e-15
+        )
+
+    def test_quarantined_party_scores_exactly_zero(self):
+        federation = build_hfl_federation(mnist_like(240, seed=0), 4, seed=0)
+        ledger = QuarantineLedger()
+        trainer = AdversarialHFLTrainer(
+            _factory, epochs=3, lr_schedule=LRSchedule(0.5), attacks={3: scale(200.0)}
+        )
+        log = trainer.train(
+            federation.locals,
+            federation.validation,
+            screener=UpdateScreener(ScreenConfig(norm_factor=5.0), ledger),
+        ).log
+        assert len(ledger) > 0, "the boosting attacker must get quarantined"
+        matrix = log.participation_matrix()
+        per_epoch = per_round_exact_shapley(log, federation.validation, _factory)
+        np.testing.assert_array_equal(per_epoch[~matrix], 0.0)
+        np.testing.assert_allclose(
+            per_epoch,
+            _present_only_shapley(log, federation.validation),
+            rtol=1e-10,
+            atol=1e-15,
         )
 
 

@@ -1,12 +1,15 @@
 """Streaming estimators are *bit-for-bit* the batch estimators.
 
-The acceptance contract of ``repro.serve.streaming``: ingesting a log one
-epoch at a time yields ``np.array_equal`` totals and per-epoch matrices —
-not merely allclose — against one batch call, on every workload class the
-batch estimators support: clean seed runs, logged-weight attribution,
-partial participation (runtime dropouts), and quarantined parties
-(robust screening).  Plus the incremental-only surface: prefix queries,
-leaderboards and running Eq. 17–18 weights.
+The acceptance contract of ``repro.core.streaming`` as the service uses it
+(imported through ``repro.serve``): ingesting a log one epoch at a time
+yields ``np.array_equal`` totals and per-epoch matrices — not merely
+allclose — against one batch call, on every workload class the batch
+estimators support: clean seed runs, logged-weight attribution, partial
+participation (runtime dropouts), and quarantined parties (robust
+screening).  The batch estimators are the whole-log fold of these
+classes, so the equalities hold by construction; the tests keep the fold
+honest (epoch indexing, memo keys, masks).  Plus the incremental-only
+surface: prefix queries, leaderboards and running Eq. 17–18 weights.
 """
 
 import numpy as np

@@ -384,30 +384,31 @@ def _cmd_serve(args) -> int:
 def _cmd_cluster(args) -> int:
     # Talks to a running `repro serve --cluster N` router over HTTP.
     import json as _json
-    from http.client import HTTPConnection, HTTPException
+    from http.client import HTTPException
+
+    from repro.serve.http import http_request
 
     if args.action == "resize" and args.shards < 1:
         raise SystemExit("error: resize needs at least 1 shard")
-    conn = HTTPConnection(args.host, args.router_port, timeout=args.timeout_s)
+    if args.action == "resize":
+        method, path = "POST", "/cluster/resize"
+        body = _json.dumps({"shards": args.shards}).encode()
+    else:
+        method, path, body = "GET", "/cluster", None
     try:
-        if args.action == "resize":
-            body = _json.dumps({"shards": args.shards}).encode()
-            conn.request("POST", "/cluster/resize", body=body,
-                         headers={"Content-Type": "application/json"})
-        else:
-            conn.request("GET", "/cluster")
-        response = conn.getresponse()
-        payload = _json.loads(response.read().decode() or "{}")
+        status, _, data = http_request(
+            args.host, args.router_port, method, path,
+            timeout_s=args.timeout_s, body=body,
+        )
+        payload = _json.loads(data.decode() or "{}")
     except (OSError, HTTPException, ValueError) as exc:
         raise SystemExit(
             f"error: no router at http://{args.host}:{args.router_port} "
             f"({exc})"
         ) from exc
-    finally:
-        conn.close()
-    if response.status >= 400:
+    if status >= 400:
         raise SystemExit(
-            f"error: router answered {response.status}: "
+            f"error: router answered {status}: "
             f"{payload.get('error', 'unknown error')}"
         )
     print(_json.dumps(payload, indent=2, sort_keys=True))
@@ -421,26 +422,25 @@ def _cmd_slo(args) -> int:
     # 2 = the server could not be reached or answered an error.
     import json as _json
     import sys
-    from http.client import HTTPConnection, HTTPException
+    from http.client import HTTPException
 
     from repro.obs.slo import SloReport
+    from repro.serve.http import http_request
 
-    conn = HTTPConnection(args.host, args.port, timeout=args.timeout_s)
     try:
-        conn.request("GET", "/statusz")
-        response = conn.getresponse()
-        payload = _json.loads(response.read().decode() or "{}")
+        status, _, data = http_request(
+            args.host, args.port, "GET", "/statusz", timeout_s=args.timeout_s
+        )
+        payload = _json.loads(data.decode() or "{}")
     except (OSError, HTTPException, ValueError) as exc:
         print(
             f"error: no server at http://{args.host}:{args.port} ({exc})",
             file=sys.stderr,
         )
         return 2
-    finally:
-        conn.close()
-    if response.status >= 400:
+    if status >= 400:
         print(
-            f"error: server answered {response.status}: "
+            f"error: server answered {status}: "
             f"{payload.get('error', 'unknown error')}",
             file=sys.stderr,
         )
@@ -773,7 +773,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write buffered spans as JSONL on shutdown")
     serve.add_argument("--robustness-file", metavar="PATH", default=None,
                        help="scenario-matrix verdict file served by GET "
-                            "/robustness (default BENCH_scenarios.json)")
+                            "/robustness (default BENCH_scenarios.json), "
+                            "resolved against the start-up directory")
     serve.set_defaults(func=_cmd_serve)
 
     cluster = sub.add_parser(

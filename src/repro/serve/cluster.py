@@ -50,49 +50,58 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass
-from http.client import HTTPConnection, HTTPException
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.client import HTTPException
 from pathlib import Path
 from typing import Hashable, Mapping
-from urllib.parse import parse_qs, urlparse
 
-from repro.metrics.cost import Gauge, LatencyHistogram
+from repro.metrics.cost import Gauge
 from repro.obs import Observability
 from repro.obs.registry import PROMETHEUS_CONTENT_TYPE, MetricsRegistry
 from repro.obs.trace import context_headers
 from repro.serve.http import (
-    _RUN_ENDPOINTS,
-    DEFAULT_ROBUSTNESS_FILE,
+    ROUTER_ROUTES,
     ApiError,
+    FrontDoor,
     RawResponse,
-    RequestTelemetry,
-    load_robustness,
+    RequestCore,
+    describe_routes,
+    http_request,
+    query_param,
     read_json_body,
-    write_response,
+    resolve_robustness_file,
 )
 from repro.serve.resilience import Backoff, CircuitBreaker
 from repro.serve.ring import HashRing
 from repro.serve.wal import REGISTER, WriteAheadLog, scan_wal
 
 
-class ShardUnavailable(RuntimeError):
-    """A shard is down or unreachable; retry after ``retry_after_s``."""
+class ShardUnavailable(ApiError):
+    """A shard is down or unreachable: 503, retry after ``retry_after_s``."""
+
+    kind = "unavailable"
 
     def __init__(self, shard, reason: str, retry_after_s: float) -> None:
         super().__init__(
+            503,
             f"shard {shard} is unavailable ({reason}); "
-            f"retry in {retry_after_s:.0f}s"
+            f"retry in {retry_after_s:.0f}s",
+            headers={"Retry-After": str(max(1, int(retry_after_s)))},
+            fields={"shard": str(shard), "retry_after_s": retry_after_s},
         )
         self.shard = shard
         self.retry_after_s = retry_after_s
 
 
-class ShardTimeout(RuntimeError):
-    """A proxied request to a live shard overran the router's budget."""
+class ShardTimeout(ApiError):
+    """A proxied request to a live shard overran the router's budget: 504."""
+
+    kind = "timeout"
 
     def __init__(self, shard, timeout_s: float) -> None:
         super().__init__(
-            f"shard {shard} did not answer within {timeout_s:.1f}s"
+            504,
+            f"shard {shard} did not answer within {timeout_s:.1f}s",
+            fields={"shard": str(shard), "timeout_s": timeout_s},
         )
         self.shard = shard
         self.timeout_s = timeout_s
@@ -132,8 +141,8 @@ class WorkerSpec:
     # final catch-up read of the (dead) primary's WAL *file*.
     follow: tuple[str, int, str] | None = None
     follow_poll_s: float = 0.05
-    # Scenario-matrix verdict file served by GET /robustness (None →
-    # the worker's default, BENCH_scenarios.json in the cwd).
+    # Scenario-matrix verdict file served by GET /robustness; the
+    # supervisor resolves it to an absolute path once, for every spawn.
     robustness_file: str | None = None
 
 
@@ -230,43 +239,27 @@ def _worker_main(spec: WorkerSpec) -> None:
         wal.close()
 
 
+def _control(
+    spec: WorkerSpec, verb: str, payload: dict, timeout_s: float
+) -> tuple[int, dict]:
+    """POST ``/control/{verb}`` to a worker: its status and decoded answer."""
+    status, _, body = http_request(
+        spec.host,
+        spec.port,
+        "POST",
+        f"/control/{verb}",
+        body=json.dumps(payload).encode(),
+        timeout_s=timeout_s,
+    )
+    return status, json.loads(body)
+
+
 def _free_port(host: str) -> int:
     """An OS-assigned free TCP port (bound briefly, then released)."""
     with socket.socket() as sock:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         sock.bind((host, 0))
         return sock.getsockname()[1]
-
-
-def _http_get_json(
-    host: str, port: int, path: str, timeout_s: float
-) -> tuple[int, dict]:
-    """One GET against a worker, JSON-decoded (probes and readiness)."""
-    conn = HTTPConnection(host, port, timeout=timeout_s)
-    try:
-        conn.request("GET", path)
-        response = conn.getresponse()
-        body = response.read()
-    finally:
-        conn.close()
-    return response.status, json.loads(body)
-
-
-def _http_post_json(
-    host: str, port: int, path: str, payload: dict, timeout_s: float
-) -> tuple[int, dict]:
-    """One JSON POST against a worker (the supervisor's control plane)."""
-    conn = HTTPConnection(host, port, timeout=timeout_s)
-    try:
-        body = json.dumps(payload).encode()
-        conn.request(
-            "POST", path, body=body, headers={"Content-Type": "application/json"}
-        )
-        response = conn.getresponse()
-        data = response.read()
-    finally:
-        conn.close()
-    return response.status, json.loads(data)
 
 
 # -------------------------------------------------------------------- topology
@@ -407,7 +400,7 @@ class ClusterSupervisor:
         self.max_respawns = max_respawns
         self.retry_after_hint_s = retry_after_hint_s
         self.follow_poll_s = follow_poll_s
-        self.robustness_file = robustness_file
+        self.robustness_file = resolve_robustness_file(robustness_file)
         self.verbose = verbose
         self._wal_root = Path(wal_root)
         self._host = host
@@ -420,7 +413,7 @@ class ClusterSupervisor:
             breaker_reset_s=breaker_reset_s,
             chaos_ingest_ms=chaos_ingest_ms,
             trace=trace,
-            robustness_file=robustness_file,
+            robustness_file=self.robustness_file,
             verbose=verbose,
         )
         self._probe_failures = probe_failures
@@ -638,10 +631,9 @@ class ClusterSupervisor:
             return False
         old_primary = self.specs[shard]
         try:
-            status, body = _http_post_json(
-                spec.host,
-                spec.port,
-                "/control/promote",
+            status, body = _control(
+                spec,
+                "promote",
                 {"primary_wal_dir": old_primary.wal_dir},
                 max(self.probe_timeout_s * 5, 10.0),
             )
@@ -682,10 +674,10 @@ class ClusterSupervisor:
 
     def _probe_addr(self, host: str, port: int) -> bool:
         try:
-            status, _ = _http_get_json(
-                host, port, "/healthz", self.probe_timeout_s
+            status, _, _ = http_request(
+                host, port, "GET", "/healthz", timeout_s=self.probe_timeout_s
             )
-        except (OSError, HTTPException, ValueError):
+        except (OSError, HTTPException):
             return False
         return status == 200
 
@@ -1012,12 +1004,10 @@ class ClusterSupervisor:
                 for entry in entries
                 if str(entry.payload.get("run_id")) == run_id
             ]
-            dest_spec = self.specs[dest]
             try:
-                status, body = _http_post_json(
-                    dest_spec.host,
-                    dest_spec.port,
-                    "/control/adopt",
+                status, body = _control(
+                    self.specs[dest],
+                    "adopt",
                     {"frames": frames},
                     self.ready_timeout_s,
                 )
@@ -1044,11 +1034,8 @@ class ClusterSupervisor:
     def _broadcast_epoch(self) -> None:
         for shard, spec in list(self.specs.items()):
             try:
-                _http_post_json(
-                    spec.host,
-                    spec.port,
-                    "/control/epoch",
-                    {"ring_epoch": self.ring_epoch},
+                _control(
+                    spec, "epoch", {"ring_epoch": self.ring_epoch},
                     self.probe_timeout_s,
                 )
             except (OSError, HTTPException, ValueError):
@@ -1085,15 +1072,13 @@ class ClusterSupervisor:
 class _ProxyResult(RawResponse):
     """A worker response relayed verbatim: status, body, select headers."""
 
-    __slots__ = ("status", "headers")
+    __slots__ = ("status",)
 
     def __init__(
         self, status: int, body: bytes, content_type: str, headers: dict
     ) -> None:
+        super().__init__(body, content_type, headers)
         self.status = status
-        self.body = body
-        self.content_type = content_type
-        self.headers = headers
 
 
 # Response headers the router relays from a worker: the resilience
@@ -1107,138 +1092,55 @@ _RELAYED_HEADERS = ("Retry-After", "Allow", "X-Repro-Ring-Epoch")
 _AUTO_ID_RE = re.compile(r"^(?:hfl|vfl)-c(\d+)$")
 
 
-def _router_allowed_methods(parts: list[str]) -> frozenset[str] | None:
-    if parts in (
-        ["healthz"], ["metricz"], ["cluster"], ["statusz"], ["robustness"]
-    ):
-        return frozenset({"GET"})
-    if parts == ["runs"]:
-        return frozenset({"GET", "POST"})
-    if len(parts) == 3 and parts[0] == "runs" and parts[2] in _RUN_ENDPOINTS:
-        return frozenset({"GET"})
-    if parts == ["cluster", "resize"]:
-        return frozenset({"POST"})
-    return None
-
-
-class _RouterHandler(BaseHTTPRequestHandler):
+class _RouterHandler(RequestCore):
     """Maps ``run_id → shard`` on the ring and proxies; aggregates the rest."""
 
     server_version = "repro-serve-router/1.0"
-    protocol_version = "HTTP/1.1"
+    span_name = "router.request"
+    routes = ROUTER_ROUTES
 
     @property
     def topology(self):
         return self.server.topology  # type: ignore[attr-defined]
 
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        if self.server.verbose:  # type: ignore[attr-defined]
-            super().log_message(format, *args)
+    # ------------------------------------------------- request core hooks
 
-    # ------------------------------------------------------------- plumbing
-
-    def _dispatch(self, handler) -> None:
-        # Graceful drain: once begin_drain() fires, refuse new work with
-        # the ladder's typed 503 + Retry-After (health checks still
-        # answer, so orchestrators see the drain, not an outage) while
-        # already-admitted requests run to completion below.
-        if self.server.draining and urlparse(self.path).path != "/healthz":  # type: ignore[attr-defined]
-            started = time.perf_counter()
-            write_response(
-                self,
-                {"error": "router is draining; not accepting new requests"},
-                503,
-                {"Retry-After": str(max(1, int(self.server.drain_retry_after_s)))},  # type: ignore[attr-defined]
-            )
-            # A drain refusal carries Retry-After, so the SLO engine
-            # books it against the shed budget, not availability.
-            self.server.telemetry.observe(  # type: ignore[attr-defined]
-                self.path, 503, time.perf_counter() - started, retry_after=True
-            )
-            return
-        self.server.in_flight.inc()  # type: ignore[attr-defined]
+    def _dispatch(self) -> None:
+        # The in-flight gauge spans the whole answer, its write included:
+        # a drain waits on it before the router stops.
+        in_flight = self.server.in_flight  # type: ignore[attr-defined]
+        in_flight.inc()
         try:
-            self._dispatch_admitted(handler)
+            super()._dispatch()
         finally:
-            self.server.in_flight.dec()  # type: ignore[attr-defined]
+            in_flight.dec()
 
-    def _dispatch_admitted(self, handler) -> None:
-        started = time.perf_counter()
-        headers: dict = {}
-        obs = self.server.obs  # type: ignore[attr-defined]
-        with obs.tracer.span(
-            "router.request", http_method=self.command, path=self.path
-        ) as span:
-            try:
-                payload, status = handler()
-            except ApiError as exc:
-                payload, status, headers = (
-                    {"error": str(exc)},
-                    exc.status,
-                    exc.headers,
-                )
-            except ShardUnavailable as exc:
-                payload = {
-                    "error": str(exc),
-                    "shard": str(exc.shard),
-                    "retry_after_s": exc.retry_after_s,
-                }
-                status = 503
-                headers = {"Retry-After": str(max(1, int(exc.retry_after_s)))}
-                obs.registry.counter(
-                    "repro_router_proxy_errors_total",
-                    help="proxy attempts ending in a typed failure",
-                    labels={"kind": "unavailable"},
-                ).inc()
-            except ShardTimeout as exc:
-                payload = {
-                    "error": str(exc),
-                    "shard": str(exc.shard),
-                    "timeout_s": exc.timeout_s,
-                }
-                status = 504
-                obs.registry.counter(
-                    "repro_router_proxy_errors_total",
-                    help="proxy attempts ending in a typed failure",
-                    labels={"kind": "timeout"},
-                ).inc()
-            except KeyError as exc:
-                payload = {"error": str(exc.args[0] if exc.args else exc)}
-                status = 404
-            except ValueError as exc:
-                payload, status = {"error": str(exc)}, 400
-            except Exception as exc:  # pragma: no cover - last-resort guard
-                payload, status = {"error": f"internal error: {exc}"}, 500
-            if isinstance(payload, _ProxyResult):
-                status = payload.status
-                headers = {**payload.headers, **headers}
-            span.set_attribute("status", status)
-            if status >= 400:
-                span.end(status="error")
-            trace_id = span.trace_id if span.context is not None else None
-        write_response(self, payload, status, headers)
-        elapsed = time.perf_counter() - started
-        self.server.request_latency.record(elapsed)  # type: ignore[attr-defined]
-        # The router judges the traffic *it* answered: a relayed worker
-        # refusal (Retry-After in the proxied headers) is a shed here too.
-        self.server.telemetry.observe(  # type: ignore[attr-defined]
-            self.path,
-            status,
-            elapsed,
-            retry_after="Retry-After" in headers,
-            trace_id=trace_id,
-        )
+    def _route(self, template, parts, query):
+        # Graceful drain: once begin_drain() fires, refuse new work with a
+        # typed 503 + Retry-After (health checks still answer, so
+        # orchestrators see the drain, not an outage) while requests
+        # already routed run to completion.
+        server = self.server
+        if server.draining and template != "/healthz":  # type: ignore[attr-defined]
+            raise ApiError(
+                503,
+                "router is draining; not accepting new requests",
+                headers={
+                    "Retry-After": str(max(1, int(server.drain_retry_after_s)))  # type: ignore[attr-defined]
+                },
+            )
+        return super()._route(template, parts, query)
 
-    def _method_not_allowed(self, parts: list[str], method: str):
-        allowed = _router_allowed_methods(parts)
-        if allowed is None:
-            raise ApiError(404, f"no such endpoint: {method} /{'/'.join(parts)}")
-        raise ApiError(
-            405,
-            f"{method} is not supported here; allowed: "
-            f"{', '.join(sorted(allowed))}",
-            headers={"Allow": ", ".join(sorted(allowed))},
-        )
+    def _error_response(self, exc: Exception) -> tuple[dict, int, dict]:
+        if isinstance(exc, (ShardUnavailable, ShardTimeout)):
+            # Counted where the failure reaches the client: a fan-out that
+            # degrades around a down shard is not a proxy error.
+            self.server.obs.registry.counter(  # type: ignore[attr-defined]
+                "repro_router_proxy_errors_total",
+                help="proxy attempts ending in a typed failure",
+                labels={"kind": exc.kind},
+            ).inc()
+        return super()._error_response(exc)
 
     # ------------------------------------------------------------- proxying
 
@@ -1275,16 +1177,14 @@ class _RouterHandler(BaseHTTPRequestHandler):
         headers = dict(
             context_headers(self.server.obs.tracer.current_context())  # type: ignore[attr-defined]
         )
-        if body is not None:
-            headers["Content-Type"] = "application/json"
         if extra_headers:
             headers.update(extra_headers)
         timeout_s = self.server.proxy_timeout_s  # type: ignore[attr-defined]
-        conn = HTTPConnection(host, port, timeout=timeout_s)
         try:
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
-            data = response.read()
+            status, response_headers, data = http_request(
+                host, port, method, path,
+                timeout_s=timeout_s, body=body, headers=headers,
+            )
         except TimeoutError:
             breaker.record_failure()
             topology.notify_failure(shard)
@@ -1297,18 +1197,16 @@ class _RouterHandler(BaseHTTPRequestHandler):
                 f"{type(exc).__name__}: {exc}",
                 topology.retry_after_s(shard),
             ) from None
-        finally:
-            conn.close()
         breaker.record_success()
         relayed = {
-            name: response.headers[name]
+            name: response_headers[name]
             for name in _RELAYED_HEADERS
-            if response.headers.get(name) is not None
+            if response_headers.get(name) is not None
         }
         return _ProxyResult(
-            response.status,
+            status,
             data,
-            response.headers.get("Content-Type", "application/json"),
+            response_headers.get("Content-Type", "application/json"),
             relayed,
         )
 
@@ -1329,75 +1227,21 @@ class _RouterHandler(BaseHTTPRequestHandler):
 
     # --------------------------------------------------------------- routes
 
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch(self._route_get)
+    def _get_run(self, parts, query):
+        result = self._proxy_raw(
+            self.topology.ring.shard_for(parts[1]), "GET", self.path
+        )
+        return result, result.status
 
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch(self._route_post)
+    def _get_cluster(self, parts, query):
+        info = self.topology.describe()
+        key = query_param(query, "key")
+        if key is not None:
+            info["key"] = key
+            info["shard"] = str(self.topology.ring.shard_for(key))
+        return info, 200
 
-    def do_PUT(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch(self._route_other("PUT"))
-
-    def do_DELETE(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch(self._route_other("DELETE"))
-
-    def do_PATCH(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch(self._route_other("PATCH"))
-
-    def do_HEAD(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch(self._route_other("HEAD"))
-
-    def do_OPTIONS(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch(self._route_other("OPTIONS"))
-
-    def _route_other(self, method: str):
-        parts = [p for p in urlparse(self.path).path.split("/") if p]
-
-        def route():
-            self._method_not_allowed(parts, method)
-
-        return route
-
-    def _route_get(self):
-        url = urlparse(self.path)
-        parts = [p for p in url.path.split("/") if p]
-        query = parse_qs(url.query)
-        if parts == ["healthz"]:
-            return self._aggregate_health(), 200
-        if parts == ["statusz"]:
-            return self._aggregate_statusz(), 200
-        if parts == ["robustness"]:
-            return load_robustness(self.server.robustness_file), 200  # type: ignore[attr-defined]
-        if parts == ["metricz"]:
-            fmt = query.get("format", ["json"])[0]
-            if fmt == "prometheus":
-                return self._merged_prometheus(), 200
-            if fmt != "json":
-                raise ApiError(
-                    400, f"format must be 'json' or 'prometheus', got {fmt!r}"
-                )
-            return self._aggregate_metrics(), 200
-        if parts == ["cluster"]:
-            info = self.topology.describe()
-            key = query.get("key", [None])[0]
-            if key is not None:
-                info["key"] = key
-                info["shard"] = str(self.topology.ring.shard_for(key))
-            return info, 200
-        if parts == ["runs"]:
-            return self._aggregate_runs(), 200
-        if len(parts) == 3 and parts[0] == "runs" and parts[2] in _RUN_ENDPOINTS:
-            shard = self.topology.ring.shard_for(parts[1])
-            result = self._proxy_raw(shard, "GET", self.path)
-            return result, result.status
-        raise ApiError(404, f"no such endpoint: GET {url.path}")
-
-    def _route_post(self):
-        parts = [p for p in urlparse(self.path).path.split("/") if p]
-        if parts == ["cluster", "resize"]:
-            return self._route_resize(), 200
-        if parts != ["runs"]:
-            self._method_not_allowed(parts, "POST")
+    def _post_runs(self, parts, query):
         spec = read_json_body(self)
         # The ring routes on run_id, so one must exist *before* the
         # worker is chosen: the router mints ids the worker would have.
@@ -1441,9 +1285,7 @@ class _RouterHandler(BaseHTTPRequestHandler):
         topology = self.topology
         run_id = str(spec["run_id"])
         shard = topology.ring.shard_for(run_id)
-        epoch_stamp = {
-            "X-Repro-Ring-Epoch": str(getattr(topology, "ring_epoch", 0))
-        }
+        epoch_stamp = {"X-Repro-Ring-Epoch": str(topology.ring_epoch)}
         body = json.dumps(spec).encode()
         result = self._proxy_raw(
             shard, "POST", path, body=body, extra_headers=epoch_stamp
@@ -1467,7 +1309,7 @@ class _RouterHandler(BaseHTTPRequestHandler):
                     ).inc()
         return result
 
-    def _route_resize(self) -> dict:
+    def _post_resize(self, parts, query):
         body = read_json_body(self)
         shards = body.get("shards")
         if not isinstance(shards, int) or isinstance(shards, bool) or shards <= 0:
@@ -1477,11 +1319,11 @@ class _RouterHandler(BaseHTTPRequestHandler):
             raise ApiError(
                 400, "this topology is static and cannot be resized"
             )
-        return resize(shards)
+        return resize(shards), 200
 
     # --------------------------------------------------------- aggregation
 
-    def _aggregate_health(self) -> dict:
+    def _get_healthz(self, parts, query):
         shards: dict = {}
         down: list[str] = []
         status = "ok"
@@ -1501,9 +1343,9 @@ class _RouterHandler(BaseHTTPRequestHandler):
             "workers": len(shards),
             "down": down,
             "shards": shards,
-        }
+        }, 200
 
-    def _aggregate_runs(self) -> dict:
+    def _get_runs(self, parts, query):
         collected: list[tuple[object, dict]] = []
         unavailable: list[dict] = []
         for shard in self._sorted_shards():
@@ -1532,9 +1374,9 @@ class _RouterHandler(BaseHTTPRequestHandler):
         runs = list(owned.values()) + [
             run for run in extras if run.get("run_id") not in owned
         ]
-        return {"runs": runs, "unavailable": unavailable}
+        return {"runs": runs, "unavailable": unavailable}, 200
 
-    def _aggregate_statusz(self) -> dict:
+    def _get_statusz(self, parts, query):
         """Fleet ``/statusz``: the router's own verdicts plus every worker's.
 
         The router's SLO engine judges end-to-end traffic (what clients
@@ -1543,7 +1385,8 @@ class _RouterHandler(BaseHTTPRequestHandler):
         shows which shard is burning.  Down shards are reported, not
         fatal — a status check during failover still answers.
         """
-        payload = self.server.telemetry.status()  # type: ignore[attr-defined]
+        server = self.server
+        payload = server.telemetry.status()  # type: ignore[attr-defined]
         workers: dict = {}
         down: list[str] = []
         for shard in self._sorted_shards():
@@ -1560,11 +1403,19 @@ class _RouterHandler(BaseHTTPRequestHandler):
                 "workers": workers,
                 "shards_down": down,
                 "topology": self.topology.describe(),
+                "robustness_file": server.robustness_file,  # type: ignore[attr-defined]
             }
         )
-        return payload
+        return payload, 200
 
-    def _aggregate_metrics(self) -> dict:
+    def _get_metricz(self, parts, query):
+        fmt = query_param(query, "format", "json")
+        if fmt == "prometheus":
+            return self._merged_prometheus(), 200
+        if fmt != "json":
+            raise ApiError(
+                400, f"format must be 'json' or 'prometheus', got {fmt!r}"
+            )
         workers: dict = {}
         for shard in self._sorted_shards():
             try:
@@ -1579,7 +1430,7 @@ class _RouterHandler(BaseHTTPRequestHandler):
             },
             "workers": workers,
             "topology": self.topology.describe(),
-        }
+        }, 200
 
     def _merged_prometheus(self) -> RawResponse:
         """One Prometheus page for the whole cluster.
@@ -1616,10 +1467,16 @@ class _RouterHandler(BaseHTTPRequestHandler):
         )
 
 
-class ClusterRouter(ThreadingHTTPServer):
-    """The cluster's front door: one port, N shard workers behind it."""
+class ClusterRouter(FrontDoor):
+    """The cluster's front door: one port, N shard workers behind it.
 
-    daemon_threads = True
+    Its SLO engine judges end-to-end traffic — what clients experienced,
+    proxy failures and sheds included — independent of each worker's
+    view; ``GET /statusz`` merges both.
+    """
+
+    latency_metric = "repro_router_request_latency_seconds"
+    latency_help = "router wall time, routing through response write"
 
     def __init__(
         self,
@@ -1632,24 +1489,16 @@ class ClusterRouter(ThreadingHTTPServer):
         robustness_file: str | None = None,
         verbose: bool = False,
     ) -> None:
-        super().__init__(address, _RouterHandler)
-        self.topology = topology
-        self.obs = obs if obs is not None else Observability()
-        self.proxy_timeout_s = proxy_timeout_s
-        self.verbose = verbose
-        # The router runs its own SLO engine over end-to-end traffic —
-        # what clients experienced, proxy failures and sheds included —
-        # independent of each worker's view; GET /statusz merges both.
-        self.telemetry = RequestTelemetry(self.obs.registry, slos=slos)
-        self.slo_tracker = self.telemetry.slo_tracker
-        self.robustness_file = robustness_file or DEFAULT_ROBUSTNESS_FILE
-        self.request_latency = LatencyHistogram()
-        self.obs.registry.register(
-            "repro_router_request_latency_seconds",
-            self.request_latency,
-            help="router wall time, routing through response write",
-            exist_ok=True,
+        super().__init__(
+            address,
+            _RouterHandler,
+            obs if obs is not None else Observability(),
+            slos=slos,
+            robustness_file=robustness_file,
+            verbose=verbose,
         )
+        self.topology = topology
+        self.proxy_timeout_s = proxy_timeout_s
         self.in_flight = Gauge()
         self.obs.registry.register(
             "repro_router_requests_in_flight",
@@ -1685,9 +1534,10 @@ class ClusterRouter(ThreadingHTTPServer):
             for shard in self.topology.ring.shards:
                 try:
                     host, port = self.topology.address(shard)
-                    status, payload = _http_get_json(
-                        host, port, "/runs", self.proxy_timeout_s
+                    status, _, body = http_request(
+                        host, port, "GET", "/runs", timeout_s=self.proxy_timeout_s
                     )
+                    payload = json.loads(body)
                 except (OSError, HTTPException, ValueError):
                     continue
                 if status != 200:
@@ -1717,16 +1567,6 @@ class ClusterRouter(ThreadingHTTPServer):
                 return False
             time.sleep(0.02)
         return True
-
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-    def serve_background(self) -> threading.Thread:
-        """Serve on a daemon thread (tests / in-process embedding)."""
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
-        thread.start()
-        return thread
 
 
 def serve_cluster(
@@ -1789,10 +1629,7 @@ def serve_cluster(
     for shard, spec in sorted(supervisor.specs.items()):
         print(f"  shard {shard}: http://{spec.host}:{spec.port} "
               f"(wal: {spec.wal_dir})")
-    print("endpoints: /healthz /statusz /robustness "
-          "/metricz[?format=prometheus] /cluster[?key=] "
-          "POST /cluster/resize /runs /runs/{id}/contributions "
-          "/runs/{id}/leaderboard /runs/{id}/weights /runs/{id}/profile")
+    print(f"endpoints: {describe_routes(ROUTER_ROUTES)}")
 
     draining = threading.Event()
 

@@ -1,21 +1,9 @@
 """Stdlib-only HTTP JSON API over :class:`~repro.serve.service.EvaluationService`.
 
-Endpoints::
-
-    GET  /healthz                      liveness: ok / degraded / closed
-    GET  /statusz                      SLO verdicts, burn rates, exemplars
-    GET  /robustness                   latest scenario-matrix verdicts
-    GET  /metricz                      latency, cache, admission, breakers
-    GET  /metricz?format=prometheus    the same registry, Prometheus text
-    GET  /runs                         registered runs
-    POST /runs                         register a saved training log
-    GET  /runs/{id}/contributions      whole-process totals (Eq. 15)
-    GET  /runs/{id}/leaderboard?top=k  ranked parties, best first
-    GET  /runs/{id}/weights?scheme=s   Eq. 17-18 reweight vector
-    GET  /runs/{id}/profile            per-run phase timers (repro.obs)
-    GET  /wal/stream?from_seq=n        checksummed WAL frames (replication)
-    POST /control/{verb}               supervisor plane: status / epoch /
-                                       promote / adopt (cluster workers)
+The endpoints are the route tables below: :data:`WORKER_ROUTES` for this
+server, :data:`ROUTER_ROUTES` for the cluster router
+(:mod:`repro.serve.cluster`).  Both doors mount one request core,
+:class:`RequestCore`, and differ only in their tables and handlers.
 
 ``POST /runs`` body (JSON)::
 
@@ -55,7 +43,8 @@ is ever a bare 500:
   :class:`~repro.serve.resilience.CircuitOpen`).
 * 411 — ``POST /runs`` without a ``Content-Length``; 413 — one above
   ``MAX_BODY_BYTES``; 400 — malformed JSON bodies.
-* 405 + ``Allow`` — a known path asked with the wrong method.
+* 404 — a path the door's table does not hold; 405 + ``Allow`` — a
+  template it holds, asked with a method it does not route.
 
 The server is a :class:`ThreadingHTTPServer`: each request gets a thread,
 the service's admission queue, per-run locks and thread-safe cache do the
@@ -66,8 +55,10 @@ rest.  Run it with ``python -m repro.cli serve --port 8733``; add
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
+from http.client import HTTPConnection, HTTPMessage
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -92,11 +83,66 @@ _DEFAULT_N_SAMPLES = 1200
 # (or a memory-exhaustion attempt) and is refused before being read.
 MAX_BODY_BYTES = 1024 * 1024
 
-_RUN_ENDPOINTS = frozenset({"contributions", "leaderboard", "weights", "profile"})
-_CONTROL_VERBS = frozenset({"status", "epoch", "promote", "adopt"})
 # Default robustness-matrix file (written by benchmarks/bench_scenarios.py
 # or `repro scenario matrix --save`), served by GET /robustness.
 DEFAULT_ROBUSTNESS_FILE = "BENCH_scenarios.json"
+
+# ------------------------------------------------------------------ routes
+#
+# One table per front door: endpoint template -> {method: handler name}.
+# Dispatch, 404, 405 + Allow, the RED endpoint label and the start-up
+# banners all read these.  A template's one wildcard is ``{id}``, and only
+# as its second segment.
+SHARED_ROUTES = {
+    "/healthz": {"GET": "_get_healthz"},  # ok / degraded / closed
+    "/statusz": {"GET": "_get_statusz"},  # SLO verdicts, burn rates, exemplars
+    "/robustness": {"GET": "_get_robustness"},  # scenario-matrix verdicts
+    # latency, cache, admission, breakers; ?format=prometheus for text
+    "/metricz": {"GET": "_get_metricz"},
+    "/runs": {"GET": "_get_runs", "POST": "_post_runs"},  # list / register
+    # Per run: totals (Eq. 15), ranked parties (?top=k), the Eq. 17-18
+    # reweight vector (?scheme=s), phase timers (repro.obs).
+    **{
+        f"/runs/{{id}}/{name}": {"GET": "_get_run"}
+        for name in ("contributions", "leaderboard", "weights", "profile")
+    },
+}
+WORKER_ROUTES = {
+    **SHARED_ROUTES,
+    # Checksummed WAL frames from ?from_seq=n (replication).
+    "/wal/stream": {"GET": "_get_wal_stream"},
+    # The supervisor's control plane (cluster workers).
+    **{
+        f"/control/{verb}": {"POST": "_post_control"}
+        for verb in ("status", "epoch", "promote", "adopt")
+    },
+}
+ROUTER_ROUTES = {
+    **SHARED_ROUTES,
+    "/cluster": {"GET": "_get_cluster"},  # topology; ?key= names a shard
+    "/cluster/resize": {"POST": "_post_resize"},  # online rebalance
+}
+# Every template of either door, by its segments: a path one door does
+# not serve is still labelled by its template on that door's RED series.
+_TEMPLATES = {
+    tuple(template.split("/")[1:]): template
+    for table in (WORKER_ROUTES, ROUTER_ROUTES)
+    for template in table
+}
+_LABELS = frozenset(_TEMPLATES.values()) | {"/", "/other"}
+
+
+def route_template(parts: list[str]) -> str | None:
+    """The template a request path's segments match, or ``None``."""
+    key = tuple(parts)
+    template = _TEMPLATES.get(key)
+    if template is None and len(key) > 1:
+        template = _TEMPLATES.get((key[0], "{id}", *key[2:]))
+    return template
+
+
+def _route_label(parts: list[str]) -> str:
+    return route_template(parts) or ("/other" if parts else "/")
 
 
 def normalize_route(path: str) -> str:
@@ -105,26 +151,34 @@ def normalize_route(path: str) -> str:
     This is the RED-metrics cardinality bound: run ids, unknown paths and
     query strings must never become label values, or a load test
     registering a thousand runs mints a thousand series.  Every possible
-    input maps onto one of a fixed, small set of templates —
-    ``/runs/{id}/leaderboard``, ``/control/promote``, ... — with
-    everything unrecognised pooled under ``/other``.
+    input maps onto a template of the route tables —
+    ``/runs/{id}/leaderboard``, ``/control/promote``, ... — or ``/``,
+    with everything unrecognised pooled under ``/other``.
     """
-    parts = [p for p in urlparse(path).path.split("/") if p]
-    if not parts:
-        return "/"
-    if parts[0] in (
-        "healthz", "metricz", "runs", "statusz", "robustness", "cluster"
-    ) and len(parts) == 1:
-        return f"/{parts[0]}"
-    if parts == ["wal", "stream"]:
-        return "/wal/stream"
-    if parts == ["cluster", "resize"]:
-        return "/cluster/resize"
-    if len(parts) == 3 and parts[0] == "runs" and parts[2] in _RUN_ENDPOINTS:
-        return "/runs/{id}/" + parts[2]
-    if len(parts) == 2 and parts[0] == "control" and parts[1] in _CONTROL_VERBS:
-        return "/control/" + parts[1]
-    return "/other"
+    return _route_label([p for p in urlparse(path).path.split("/") if p])
+
+
+def describe_routes(routes: dict) -> str:
+    """A door's table as one banner line: ``GET /healthz ... GET|POST /runs``."""
+    return " ".join(
+        f"{'|'.join(sorted(methods))} {template}"
+        for template, methods in routes.items()
+    )
+
+
+def query_param(query: str, name: str, default=None):
+    """The first value of ``name`` in a raw query string, or ``default``."""
+    return parse_qs(query).get(name, [default])[0]
+
+
+def resolve_robustness_file(path: str | None) -> str:
+    """The absolute robustness-matrix path a server reads for its lifetime.
+
+    Resolved once, at start-up (the default is ``BENCH_scenarios.json``
+    in the start-up directory), so a later ``chdir`` cannot swap the file
+    ``GET /robustness`` serves.
+    """
+    return os.path.abspath(path or DEFAULT_ROBUSTNESS_FILE)
 
 
 def load_robustness(path) -> dict:
@@ -186,7 +240,9 @@ class RequestTelemetry:
         trace_id: str | None = None,
     ) -> None:
         """Feed one finished request into the SLO tracker and RED series."""
-        endpoint = normalize_route(path)
+        # The request core passes its matched template; only a raw path
+        # needs the normalizer.
+        endpoint = path if path in _LABELS else normalize_route(path)
         shed = shed_from_response(status, retry_after=retry_after)
         self.slo_tracker.observe(status=status, latency_s=seconds, shed=shed)
         self.registry.counter(
@@ -239,29 +295,38 @@ class RequestTelemetry:
 
 
 class RawResponse:
-    """A non-JSON handler result: raw body bytes plus a content type.
+    """A non-JSON handler result: body bytes, content type, extra headers.
 
     Routes return this instead of a payload dict when the wire format is
-    not JSON — the Prometheus text exposition of ``/metricz`` is the one
-    current case.
+    not JSON — the Prometheus text exposition of ``/metricz`` — or when
+    the router relays a worker's answer, headers included.
     """
 
-    __slots__ = ("body", "content_type")
+    __slots__ = ("body", "content_type", "headers")
 
-    def __init__(self, body: str, content_type: str) -> None:
-        self.body = body.encode()
+    def __init__(
+        self, body: str | bytes, content_type: str, headers: dict | None = None
+    ) -> None:
+        self.body = body.encode() if isinstance(body, str) else body
         self.content_type = content_type
+        self.headers = headers or {}
 
 
 class ApiError(Exception):
-    """An error with an HTTP status (and optional extra response headers)."""
+    """An error with an HTTP status, optional headers and extra body fields."""
 
     def __init__(
-        self, status: int, message: str, *, headers: dict | None = None
+        self,
+        status: int,
+        message: str,
+        *,
+        headers: dict | None = None,
+        fields: dict | None = None,
     ) -> None:
         super().__init__(message)
         self.status = status
         self.headers = headers or {}
+        self.fields = fields or {}
 
 
 def hfl_validation_and_model(dataset: str, seed: int, n_samples: int | None = None):
@@ -443,6 +508,37 @@ def _auto_estimator(kind: str, n_parties: int, options: dict) -> str:
     return chosen
 
 
+def http_request(
+    host: str,
+    port: int,
+    method: str,
+    path: str,
+    *,
+    timeout_s: float,
+    body: bytes | None = None,
+    headers: dict | None = None,
+) -> tuple[int, HTTPMessage, bytes]:
+    """One HTTP exchange on a fresh connection: ``(status, headers, body)``.
+
+    The serving layer's one client call — the router's proxy hop, the
+    supervisor's probes and control plane, the replication follower and
+    the CLI all go through it.  A request body is JSON and is labelled so.
+    Failures propagate untyped for the caller to map: a read overrunning
+    ``timeout_s`` is :class:`TimeoutError`, a refused or reset connection
+    another :class:`OSError`, protocol garbage
+    :class:`http.client.HTTPException`.
+    """
+    if body is not None:
+        headers = {"Content-Type": "application/json", **(headers or {})}
+    conn = HTTPConnection(host, port, timeout=timeout_s)
+    try:
+        conn.request(method, path, body=body, headers=headers or {})
+        response = conn.getresponse()
+        return response.status, response.headers, response.read()
+    finally:
+        conn.close()
+
+
 def write_response(
     handler: BaseHTTPRequestHandler,
     payload: "dict | RawResponse",
@@ -506,96 +602,70 @@ def read_json_body(handler) -> dict:
     return spec
 
 
-def _allowed_methods(parts: list[str]) -> frozenset[str] | None:
-    """The methods a path supports, or ``None`` for an unknown path."""
-    if parts in (
-        ["healthz"],
-        ["metricz"],
-        ["statusz"],
-        ["robustness"],
-        ["wal", "stream"],
-    ):
-        return frozenset({"GET"})
-    if parts == ["runs"]:
-        return frozenset({"GET", "POST"})
-    if len(parts) == 3 and parts[0] == "runs" and parts[2] in _RUN_ENDPOINTS:
-        return frozenset({"GET"})
-    if len(parts) == 2 and parts[0] == "control":
-        return frozenset({"POST"})
-    return None
+class RequestCore(BaseHTTPRequestHandler):
+    """The request core both front doors mount.
 
+    A door subclasses this with its ``routes`` table and the handlers the
+    table names, each ``handler(parts, query) -> (payload, status)``; its
+    server is a :class:`FrontDoor`.  Per request, :meth:`_dispatch`
+    parses the target once and looks its template up in one dict, runs
+    the handler inside the request span, maps any exception through
+    :meth:`_error_response` — the one typed-failure ladder — answers in
+    one write, and records latency, the SLO verdict and the RED series
+    under the template.  A handler's :class:`RawResponse` headers (a
+    relayed worker's ``Retry-After``, say) ride along on the answer.
+    """
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes requests onto the server's :class:`EvaluationService`."""
-
-    server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
-
-    @property
-    def service(self) -> EvaluationService:
-        return self.server.service  # type: ignore[attr-defined]
+    span_name = "http.request"
+    routes: dict = {}
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         if self.server.verbose:  # type: ignore[attr-defined]
             super().log_message(format, *args)
 
-    # ------------------------------------------------------------- plumbing
+    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
+        self._dispatch()
 
-    def _dispatch(self, handler) -> None:
+    do_POST = do_PUT = do_PATCH = do_DELETE = do_HEAD = do_OPTIONS = do_GET
+
+    def _dispatch(self) -> None:
         started = time.perf_counter()
-        headers: dict = {}
-        tracer = self.service.obs.tracer
+        server = self.server
+        url = urlparse(self.path)
+        parts = [p for p in url.path.split("/") if p]
+        template = route_template(parts)
+        tracer = server.obs.tracer  # type: ignore[attr-defined]
         # A cluster router (or any instrumented client) propagates its
         # trace through X-Repro-Trace-Id / X-Repro-Parent-Span, so the
-        # worker-side request span joins the caller's trace instead of
-        # rooting its own — one client request, one trace, two processes.
+        # request span joins the caller's trace instead of rooting its
+        # own — one client request, one trace, two processes.
+        parent = context_from_headers(self.headers) if tracer.enabled else None
         with tracer.span(
-            "http.request",
-            parent=context_from_headers(self.headers),
-            http_method=self.command,
-            path=self.path,
+            self.span_name, parent=parent, http_method=self.command, path=self.path
         ) as span:
             try:
-                payload, status = handler()
-            except ApiError as exc:
-                payload, status, headers = {"error": str(exc)}, exc.status, exc.headers
-            except ServiceOverloaded as exc:
-                payload = {"error": str(exc), "retry_after_s": exc.retry_after_s}
-                status = 429
-                headers = {"Retry-After": str(int(exc.retry_after_s))}
-            except DeadlineExceeded as exc:
-                payload = {
-                    "error": str(exc),
-                    "budget_ms": exc.budget_ms,
-                    "elapsed_ms": exc.elapsed_ms,
-                    "progress": exc.progress,
-                }
-                status = 504
-            except ServiceClosed as exc:
-                payload, status = {"error": str(exc)}, 503
-            except QueryFailed as exc:  # includes CircuitOpen
-                payload, status = {"error": str(exc)}, 503
-            except KeyError as exc:
-                payload, status = {"error": str(exc.args[0] if exc.args else exc)}, 404
-            except ValueError as exc:
-                payload, status = {"error": str(exc)}, 400
-            except Exception as exc:  # pragma: no cover - last-resort guard
-                payload, status = {"error": f"internal error: {exc}"}, 500
+                payload, status = self._route(template, parts, url.query)
+                headers = payload.headers if isinstance(payload, RawResponse) else {}
+            except Exception as exc:
+                payload, status, headers = self._error_response(exc)
             span.set_attribute("status", status)
             if status >= 400:
                 span.end(status="error")
             trace_id = span.trace_id if span.context is not None else None
         write_response(self, payload, status, headers)
         elapsed = time.perf_counter() - started
-        self.server.request_latency.record(elapsed)  # type: ignore[attr-defined]
-        self.server.observe_request(  # type: ignore[attr-defined]
-            self.path,
+        server.request_latency.record(elapsed)  # type: ignore[attr-defined]
+        # Each door judges the traffic *it* answered: a Retry-After, raised
+        # or relayed, books the answer as a shed.
+        server.telemetry.observe(  # type: ignore[attr-defined]
+            template or _route_label(parts),
             status,
             elapsed,
             retry_after="Retry-After" in headers,
             trace_id=trace_id,
         )
-        logger = self.service.obs.logger
+        logger = server.obs.logger  # type: ignore[attr-defined]
         if logger.enabled:
             logger.log(
                 "http.request",
@@ -605,124 +675,144 @@ class _Handler(BaseHTTPRequestHandler):
                 status=status,
             )
 
-    def _method_not_allowed(self, parts: list[str], method: str):
-        allowed = _allowed_methods(parts)
-        if allowed is None:
-            raise ApiError(404, f"no such endpoint: {method} /{'/'.join(parts)}")
-        raise ApiError(
-            405,
-            f"{method} is not supported here; allowed: "
-            f"{', '.join(sorted(allowed))}",
-            headers={"Allow": ", ".join(sorted(allowed))},
+    def _route(self, template: str | None, parts: list[str], query: str):
+        """Call the handler this door's table names for the method."""
+        methods = self.routes.get(template)
+        if methods is None:
+            raise ApiError(
+                404, f"no such endpoint: {self.command} /{'/'.join(parts)}"
+            )
+        name = methods.get(self.command)
+        if name is None:
+            allowed = ", ".join(sorted(methods))
+            raise ApiError(
+                405,
+                f"{self.command} is not supported here; allowed: {allowed}",
+                headers={"Allow": allowed},
+            )
+        return getattr(self, name)(parts, query)
+
+    def _error_response(self, exc: Exception) -> tuple[dict, int, dict]:
+        """The typed-failure ladder: exception -> (body, status, headers)."""
+        if isinstance(exc, ApiError):
+            return {"error": str(exc), **exc.fields}, exc.status, exc.headers
+        if isinstance(exc, ServiceOverloaded):
+            return (
+                {"error": str(exc), "retry_after_s": exc.retry_after_s},
+                429,
+                {"Retry-After": str(int(exc.retry_after_s))},
+            )
+        if isinstance(exc, DeadlineExceeded):
+            body = {
+                "error": str(exc),
+                "budget_ms": exc.budget_ms,
+                "elapsed_ms": exc.elapsed_ms,
+                "progress": exc.progress,
+            }
+            return body, 504, {}
+        if isinstance(exc, (ServiceClosed, QueryFailed)):  # incl. CircuitOpen
+            return {"error": str(exc)}, 503, {}
+        if isinstance(exc, KeyError):
+            return {"error": str(exc.args[0] if exc.args else exc)}, 404, {}
+        if isinstance(exc, ValueError):
+            return {"error": str(exc)}, 400, {}
+        return {"error": f"internal error: {exc}"}, 500, {}
+
+    def _get_robustness(self, parts, query):
+        return load_robustness(self.server.robustness_file), 200  # type: ignore[attr-defined]
+
+
+class _Handler(RequestCore):
+    """Routes requests onto the server's :class:`EvaluationService`."""
+
+    server_version = "repro-serve/1.0"
+    routes = WORKER_ROUTES
+
+    @property
+    def service(self) -> EvaluationService:
+        return self.server.service  # type: ignore[attr-defined]
+
+    def _get_healthz(self, parts, query):
+        return self.service.health(), 200
+
+    def _get_statusz(self, parts, query):
+        """Verdicts, not raw series.
+
+        SLO burn rates and budgets, per-endpoint latency summaries with
+        the slowest exemplar (a trace id to pull up first), breaker
+        states, and — on a standby — replication lag.
+        """
+        server, service = self.server, self.service
+        payload = server.telemetry.status()  # type: ignore[attr-defined]
+        stats = service.stats()
+        controller = server.controller  # type: ignore[attr-defined]
+        follower = controller.follower if controller is not None else None
+        payload.update(
+            {
+                "health": service.health()["status"],
+                "breakers": stats["breakers"],
+                "replication": follower.stats() if follower is not None else None,
+                "uptime_seconds": stats["uptime_seconds"],
+                "ring_epoch": server.ring_epoch,  # type: ignore[attr-defined]
+                "robustness_file": server.robustness_file,  # type: ignore[attr-defined]
+            }
         )
+        return payload, 200
 
-    # --------------------------------------------------------------- routes
+    def _get_metricz(self, parts, query):
+        fmt = query_param(query, "format", "json")
+        registry = self.service.obs.registry
+        if fmt == "prometheus":
+            return RawResponse(
+                registry.render_prometheus(), PROMETHEUS_CONTENT_TYPE
+            ), 200
+        if fmt == "snapshot":
+            # The raw registry snapshot, for cluster aggregation: a
+            # router scrapes every worker's snapshot and folds them
+            # into one registry via MetricsRegistry.merge().
+            return {"snapshot": registry.snapshot()}, 200
+        if fmt != "json":
+            raise ApiError(
+                400,
+                f"format must be 'json', 'prometheus' or 'snapshot', got {fmt!r}",
+            )
+        stats = self.service.stats()
+        stats["latency"]["http"] = self.server.request_latency.summary()  # type: ignore[attr-defined]
+        return stats, 200
 
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch(self._route_get)
+    def _get_runs(self, parts, query):
+        return {"runs": self.service.runs()}, 200
 
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch(self._route_post)
-
-    def do_PUT(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch(self._route_other("PUT"))
-
-    def do_DELETE(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch(self._route_other("DELETE"))
-
-    def do_PATCH(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch(self._route_other("PATCH"))
-
-    def do_HEAD(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch(self._route_other("HEAD"))
-
-    def do_OPTIONS(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch(self._route_other("OPTIONS"))
-
-    def _route_other(self, method: str):
-        parts = [p for p in urlparse(self.path).path.split("/") if p]
-
-        def route():
-            self._method_not_allowed(parts, method)
-
-        return route
-
-    def _route_get(self) -> tuple[dict, int]:
-        url = urlparse(self.path)
-        parts = [p for p in url.path.split("/") if p]
-        query = parse_qs(url.query)
-        if parts == ["healthz"]:
-            return self.service.health(), 200
-        if parts == ["statusz"]:
-            return self.server.statusz(), 200  # type: ignore[attr-defined]
-        if parts == ["robustness"]:
-            return load_robustness(self.server.robustness_file), 200  # type: ignore[attr-defined]
-        if parts == ["metricz"]:
-            fmt = query.get("format", ["json"])[0]
-            if fmt == "prometheus":
-                return (
-                    RawResponse(
-                        self.service.obs.registry.render_prometheus(),
-                        PROMETHEUS_CONTENT_TYPE,
-                    ),
-                    200,
-                )
-            if fmt == "snapshot":
-                # The raw registry snapshot, for cluster aggregation: a
-                # router scrapes every worker's snapshot and folds them
-                # into one registry via MetricsRegistry.merge().
-                return {"snapshot": self.service.obs.registry.snapshot()}, 200
-            if fmt != "json":
-                raise ApiError(
-                    400,
-                    "format must be 'json', 'prometheus' or 'snapshot', "
-                    f"got {fmt!r}",
-                )
-            stats = self.service.stats()
-            stats["latency"]["http"] = self.server.request_latency.summary()  # type: ignore[attr-defined]
-            return stats, 200
-        if parts == ["runs"]:
-            return {"runs": self.service.runs()}, 200
-        if len(parts) == 3 and parts[0] == "runs":
-            run_id, endpoint = parts[1], parts[2]
-            if endpoint == "contributions":
-                return self.service.query("contributions", run_id), 200
-            if endpoint == "leaderboard":
-                top = query.get("top", [None])[0]
-                return (
-                    self.service.query(
-                        "leaderboard", run_id, top=int(top) if top is not None else None
-                    ),
-                    200,
-                )
-            if endpoint == "weights":
-                scheme = query.get("scheme", ["rectified"])[0]
-                return self.service.query("weights", run_id, scheme=scheme), 200
-            if endpoint == "profile":
-                return self.service.profile(run_id), 200
-        if parts == ["wal", "stream"]:
-            wal = getattr(self.service, "wal", None)
-            if wal is None:
-                raise ApiError(
-                    404, "no write-ahead log is attached to this worker"
-                )
-            from_seq = int(query.get("from_seq", ["1"])[0])
-            limit = int(query.get("limit", ["512"])[0])
-            return wal.frames_from(from_seq, limit=limit), 200
-        raise ApiError(404, f"no such endpoint: GET {url.path}")
-
-    def _route_post(self) -> tuple[dict, int]:
-        url = urlparse(self.path)
-        parts = [p for p in url.path.split("/") if p]
-        if len(parts) == 2 and parts[0] == "control":
-            controller = getattr(self.server, "controller", None)
-            if controller is None:
-                raise ApiError(404, "this server has no cluster controller")
-            return controller.handle(parts[1], read_json_body(self)), 200
-        if parts != ["runs"]:
-            self._method_not_allowed(parts, "POST")
+    def _post_runs(self, parts, query):
         self._check_ring_epoch()
         return register_from_spec(self.service, read_json_body(self)), 201
+
+    def _get_run(self, parts, query):
+        run_id, endpoint = parts[1], parts[2]
+        if endpoint == "profile":
+            return self.service.profile(run_id), 200
+        if endpoint == "leaderboard":
+            top = query_param(query, "top")
+            options = {"top": int(top) if top is not None else None}
+        elif endpoint == "weights":
+            options = {"scheme": query_param(query, "scheme", "rectified")}
+        else:
+            options = {}
+        return self.service.query(endpoint, run_id, **options), 200
+
+    def _get_wal_stream(self, parts, query):
+        wal = self.service.wal
+        if wal is None:
+            raise ApiError(404, "no write-ahead log is attached to this worker")
+        from_seq = int(query_param(query, "from_seq", "1"))
+        limit = int(query_param(query, "limit", "512"))
+        return wal.frames_from(from_seq, limit=limit), 200
+
+    def _post_control(self, parts, query):
+        controller = self.server.controller  # type: ignore[attr-defined]
+        if controller is None:
+            raise ApiError(404, "this server has no cluster controller")
+        return controller.handle(parts[1], read_json_body(self)), 200
 
     def _check_ring_epoch(self) -> None:
         """Fence stale-epoch writes during an online rebalance.
@@ -735,7 +825,7 @@ class _Handler(BaseHTTPRequestHandler):
         sides are opt-in: a standalone server (``server.ring_epoch is
         None``) or an unstamped client skips the check entirely.
         """
-        fence = getattr(self.server, "ring_epoch", None)
+        fence = self.server.ring_epoch  # type: ignore[attr-defined]
         header = self.headers.get("X-Repro-Ring-Epoch")
         if fence is None or header is None:
             return
@@ -754,79 +844,46 @@ class _Handler(BaseHTTPRequestHandler):
             )
 
 
-class EvaluationHTTPServer(ThreadingHTTPServer):
-    """Threaded HTTP server bound to one :class:`EvaluationService`."""
+class FrontDoor(ThreadingHTTPServer):
+    """The server half of the request core, shared by both doors.
+
+    Holds what :class:`RequestCore` reads off its server: the door's
+    ``obs``, the SLO engine + RED series (``telemetry``), the request
+    latency histogram (registered as ``latency_metric``), the robustness
+    file, resolved once here, and ``verbose``.
+    """
 
     daemon_threads = True
+    latency_metric = "repro_http_request_latency_seconds"
+    latency_help = "HTTP request wall time, routing through response write"
 
     def __init__(
         self,
         address: tuple[str, int],
-        service: EvaluationService | None = None,
+        handler: type[RequestCore],
+        obs,
         *,
-        verbose: bool = False,
-        slos: tuple | list | None = None,
+        slos=None,
         robustness_file: str | None = None,
+        verbose: bool = False,
     ) -> None:
-        super().__init__(address, _Handler)
-        self.service = service if service is not None else EvaluationService()
-        self.request_latency = LatencyHistogram()
+        super().__init__(address, handler)
+        self.obs = obs
         self.verbose = verbose
-        # Cluster plumbing, both off for a standalone server: the worker
-        # bootstrap installs a WorkerController (POST /control/*) and the
-        # current ring epoch (stale-write fencing); see serve/replication.
-        self.controller = None
-        self.ring_epoch: int | None = None
-        # The SLO engine + RED series: every finished request is
-        # classified good/bad per objective; GET /statusz serves verdicts.
-        self.telemetry = RequestTelemetry(self.service.obs.registry, slos=slos)
+        # Every finished request is classified good/bad per objective;
+        # GET /statusz serves the verdicts.
+        self.telemetry = RequestTelemetry(obs.registry, slos=slos)
         self.slo_tracker = self.telemetry.slo_tracker
-        self.robustness_file = robustness_file or DEFAULT_ROBUSTNESS_FILE
-        # exist_ok: a service outliving one HTTP frontend (tests, restarts)
+        self.robustness_file = resolve_robustness_file(robustness_file)
+        self.request_latency = LatencyHistogram()
+        # exist_ok: a registry outliving one frontend (tests, restarts)
         # re-registers the fresh histogram over the dead one's.
-        self.service.obs.registry.register(
-            "repro_http_request_latency_seconds",
+        obs.registry.register(
+            self.latency_metric,
             self.request_latency,
-            help="HTTP request wall time, routing through response write",
+            help=self.latency_help,
             exist_ok=True,
         )
-
-    def observe_request(
-        self,
-        path: str,
-        status: int,
-        seconds: float,
-        *,
-        retry_after: bool = False,
-        trace_id: str | None = None,
-    ) -> None:
-        """One finished request into the SLO tracker and RED series."""
-        self.telemetry.observe(
-            path, status, seconds, retry_after=retry_after, trace_id=trace_id
-        )
-
-    def statusz(self) -> dict:
-        """The ``GET /statusz`` payload: verdicts, not raw series.
-
-        SLO burn rates and budgets, per-endpoint latency summaries with
-        the slowest exemplar (a trace id to pull up first), breaker
-        states, and — on a standby — replication lag.
-        """
-        payload = self.telemetry.status()
-        stats = self.service.stats()
-        follower = getattr(self.controller, "follower", None)
-        payload.update(
-            {
-                "health": self.service.health()["status"],
-                "breakers": stats["breakers"],
-                "replication": (
-                    follower.stats() if follower is not None else None
-                ),
-                "uptime_seconds": stats["uptime_seconds"],
-                "ring_epoch": self.ring_epoch,
-            }
-        )
-        return payload
 
     @property
     def port(self) -> int:
@@ -837,6 +894,34 @@ class EvaluationHTTPServer(ThreadingHTTPServer):
         thread = threading.Thread(target=self.serve_forever, daemon=True)
         thread.start()
         return thread
+
+
+class EvaluationHTTPServer(FrontDoor):
+    """Threaded HTTP server bound to one :class:`EvaluationService`."""
+
+    def __init__(
+        self,
+        address: tuple[str, int],
+        service: EvaluationService | None = None,
+        *,
+        verbose: bool = False,
+        slos: tuple | list | None = None,
+        robustness_file: str | None = None,
+    ) -> None:
+        self.service = service if service is not None else EvaluationService()
+        super().__init__(
+            address,
+            _Handler,
+            self.service.obs,
+            slos=slos,
+            robustness_file=robustness_file,
+            verbose=verbose,
+        )
+        # Cluster plumbing, both off for a standalone server: the worker
+        # bootstrap installs a WorkerController (POST /control/*) and the
+        # current ring epoch (stale-write fencing); see serve/replication.
+        self.controller = None
+        self.ring_epoch: int | None = None
 
 
 def serve(
@@ -852,10 +937,7 @@ def serve(
         (host, port), service, verbose=verbose, robustness_file=robustness_file
     )
     print(f"repro-serve listening on http://{host}:{server.port}")
-    print("endpoints: /healthz /statusz /robustness "
-          "/metricz[?format=prometheus] /runs "
-          "/runs/{id}/contributions /runs/{id}/leaderboard /runs/{id}/weights "
-          "/runs/{id}/profile")
+    print(f"endpoints: {describe_routes(WORKER_ROUTES)}")
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -44,11 +44,11 @@ from __future__ import annotations
 
 import json
 import threading
-from http.client import HTTPConnection, HTTPException
+from http.client import HTTPException
 from pathlib import Path
 
 from repro.io import TrainingLogIntegrityError, load_training_log, load_vfl_training_log
-from repro.serve.http import ApiError, hfl_validation_and_model
+from repro.serve.http import ApiError, hfl_validation_and_model, http_request
 from repro.serve.wal import (
     INGEST,
     REGISTER,
@@ -312,25 +312,19 @@ class WalFollower:
     # ------------------------------------------------------------- streaming
 
     def _fetch(self) -> dict:
-        conn = HTTPConnection(
-            self.primary_host, self.primary_port, timeout=self.timeout_s
+        status, _, body = http_request(
+            self.primary_host,
+            self.primary_port,
+            "GET",
+            f"/wal/stream?from_seq={self.next_seq}&limit={self.batch}",
+            timeout_s=self.timeout_s,
         )
-        try:
-            conn.request(
-                "GET", f"/wal/stream?from_seq={self.next_seq}&limit={self.batch}"
-            )
-            response = conn.getresponse()
-            body = response.read()
-            if response.status != 200:
-                raise HTTPException(
-                    f"/wal/stream answered {response.status}: {body[:200]!r}"
-                )
-            payload = json.loads(body)
-            if not isinstance(payload, dict):
-                raise ValueError("wal stream payload is not an object")
-            return payload
-        finally:
-            conn.close()
+        if status != 200:
+            raise HTTPException(f"/wal/stream answered {status}: {body[:200]!r}")
+        payload = json.loads(body)
+        if not isinstance(payload, dict):
+            raise ValueError("wal stream payload is not an object")
+        return payload
 
     def _apply_frames(self, payload: dict) -> bool:
         frames = payload.get("frames") or []

@@ -321,7 +321,7 @@ def recover(service, wal: WriteAheadLog, *, applier=None) -> RecoveryReport:
     # hop back, so the lazy import keeps both importable in either order.
     from repro.serve.replication import WalApplier
 
-    if getattr(service, "wal", None) is not None:
+    if service.wal is not None:
         raise ValueError("recover() needs a service without an attached WAL")
     report = RecoveryReport(tail_dropped=wal.tail_dropped)
     # One wal.replay span covers the scan and every replayed record; it is

@@ -163,19 +163,6 @@ class TestRouting:
         status, body, _ = _get(router, "/runs/nonexistent/contributions")
         assert status == 404 and "error" in body
 
-    def test_unknown_paths_and_methods_are_typed(self, cluster):
-        router, _, _ = cluster
-        status, _, _ = _get(router, "/runs/x/unknown")
-        assert status == 404
-        status, _, _ = _get(router, "/nope")
-        assert status == 404
-        conn = http.client.HTTPConnection("127.0.0.1", router.port, timeout=10)
-        conn.request("PUT", "/runs", body=b"{}")
-        response = conn.getresponse()
-        assert response.status == 405
-        assert "POST" in response.headers["Allow"]
-        conn.close()
-
     def test_cluster_endpoint_maps_keys_to_shards(self, cluster):
         router, topology, _ = cluster
         status, body, _ = _get(router, "/cluster?key=vfl-xyz")

@@ -4,6 +4,12 @@ Each run_* function is exercised on a minimal configuration; the full-size
 runs live in ``benchmarks/`` and ``python -m repro.experiments``.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -132,6 +138,31 @@ class TestReweightExperiment:
         curve_rows = [r for r in report.rows if "epoch" in r.labels]
         assert len(summary_rows) == 2
         assert len(curve_rows) == 4  # epochs of the largest m
+
+    def test_cells_are_the_same_in_every_process(self):
+        """Fig. 7 seeds must not depend on Python's per-process str hash."""
+        script = (
+            "import json\n"
+            "from repro.experiments.reweight import cell_seed, run_reweight\n"
+            "seeds = [cell_seed(0, d, k, m) for d, k in "
+            "(('cifar10', 'noniid'), ('motor', 'mislabeled')) for m in (0, 2, 4)]\n"
+            "report = run_reweight(settings=(('motor', 'mislabeled'),), "
+            "ms=(2,), epochs=2)\n"
+            "rows = [[r.labels, r.metrics] for r in report.rows]\n"
+            "print(json.dumps({'seeds': seeds, 'rows': rows}))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(json.loads(done.stdout.splitlines()[-1]))
+        assert outputs[0] == outputs[1]
+        assert len(set(outputs[0]["seeds"])) == 6
 
 
 class TestAblations:

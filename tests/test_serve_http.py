@@ -265,23 +265,6 @@ class TestErrorPaths:
         assert response.status == 400
         assert "Content-Length" in body["error"]
 
-    def test_wrong_method_is_405_with_allow(self, server):
-        response, body = self._raw(server, "DELETE", "/runs")
-        assert response.status == 405
-        assert response.headers["Allow"] == "GET, POST"
-        assert "DELETE" in body["error"]
-
-    def test_post_to_get_only_path_is_405(self, server):
-        response, _ = self._raw(
-            server, "POST", "/healthz", headers=[("Content-Length", "0")],
-        )
-        assert response.status == 405
-        assert response.headers["Allow"] == "GET"
-
-    def test_put_to_unknown_path_is_404(self, server):
-        response, _ = self._raw(server, "PUT", "/bogus")
-        assert response.status == 404
-
 
 class TestResilienceStatuses:
     """The typed-error HTTP mappings: 503 on closed, 429 + Retry-After."""

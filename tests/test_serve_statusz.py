@@ -13,6 +13,7 @@ import json
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -231,6 +232,40 @@ class TestRobustness:
             httpd.shutdown()
             httpd.server_close()
             httpd.service.close()
+
+    def test_default_file_is_fixed_at_start_up(self, tmp_path, monkeypatch):
+        """Both doors resolve the default file once: a later chdir does not
+        swap the matrix they serve, and /statusz names the file."""
+        started_in = tmp_path / "start"
+        started_in.mkdir()
+        matrix = started_in / "BENCH_scenarios.json"
+        matrix.write_text(json.dumps({"ok": True}))
+        monkeypatch.chdir(started_in)
+        worker = EvaluationHTTPServer(("127.0.0.1", 0), EvaluationService())
+        worker.serve_background()
+        router = ClusterRouter(
+            ("127.0.0.1", 0), StaticTopology({0: ("127.0.0.1", worker.port)})
+        )
+        router.serve_background()
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        (elsewhere / "BENCH_scenarios.json").write_text(json.dumps({"ok": False}))
+        monkeypatch.chdir(elsewhere)
+        try:
+            for door in (worker, router):
+                status, robustness = _get_json(door.port, "/robustness")
+                assert status == 200
+                assert robustness["ok"] is True
+                assert Path(robustness["file"]).resolve() == matrix.resolve()
+                status, statusz = _get_json(door.port, "/statusz")
+                assert status == 200
+                assert statusz["robustness_file"] == robustness["file"]
+        finally:
+            router.shutdown()
+            router.server_close()
+            worker.shutdown()
+            worker.server_close()
+            worker.service.close()
 
 
 # ------------------------------------------------------------- estimator auto

@@ -14,10 +14,11 @@ closes the breaker and fresh numbers flow again.  No query ever saw a
 bare 500.
 
 **Act 2 — killed, recovered, bit-for-bit.**  A second service writes
-every registration and ingest to a write-ahead log (fsync per record,
-checksummed).  The process dies without any shutdown handshake; a fresh
-process replays the WAL with :func:`repro.serve.recover`, rebuilds the
-run to the exact ingested epoch, and serves contribution totals that are
+every registration and ingest to a write-ahead log (checksummed, and
+fsync'd before anything is acknowledged: once per registered log).  The
+process dies without any shutdown handshake; a fresh process replays
+the WAL with :func:`repro.serve.recover`, rebuilds the run to the exact
+ingested epoch, and serves contribution totals that are
 ``np.array_equal`` to the pre-crash answer.
 
 Run:  PYTHONPATH=src python examples/resilient_leaderboard.py

@@ -353,9 +353,9 @@ def _cmd_serve(args) -> int:
 
         _orig_ingest = _ES.ingest
 
-        def _slow_ingest(self, run_id, record, *, seq=None):
+        def _slow_ingest(self, run_id, record, **kwargs):
             _time.sleep(args.chaos_ingest_ms / 1e3)
-            return _orig_ingest(self, run_id, record, seq=seq)
+            return _orig_ingest(self, run_id, record, **kwargs)
 
         service.ingest = _slow_ingest.__get__(service, _ES)
     if args.wal_dir:

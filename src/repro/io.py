@@ -21,7 +21,9 @@ import hashlib
 import json
 import warnings
 import zipfile
+import zlib
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -75,17 +77,39 @@ def json_checksum(payload) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _open_npz(path: str | Path):
-    """``np.load`` with unreadable/truncated files mapped to a clear error."""
+def _name(source: str | Path | BinaryIO) -> str:
+    """How messages name a log: its path, or a file object's ``name``."""
+    return str(getattr(source, "name", source))
+
+
+def _read_log(
+    source: str | Path | BinaryIO, fmt: str, what: str
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read and verify one saved log: ``(meta, arrays)``.
+
+    Every way the archive can fail to read — not a zip, truncated, a
+    member that fails its CRC or does not inflate — is a
+    :class:`TrainingLogIntegrityError`; a readable file of another
+    format is a ``ValueError`` naming ``what`` was expected.
+    """
+    path = _name(source)
     try:
-        return np.load(path, allow_pickle=False)
-    except (zipfile.BadZipFile, EOFError, OSError, ValueError) as exc:
+        with np.load(source, allow_pickle=False) as data:
+            meta = json.loads(str(data["meta"]))
+            arrays = {name: data[name] for name in data.files if name != "meta"}
+    except (zipfile.BadZipFile, zlib.error, EOFError, OSError, ValueError) as exc:
         raise TrainingLogIntegrityError(
             f"{path} is not a readable training log (corrupt or truncated): {exc}"
         ) from exc
+    if meta.get("format") != fmt:
+        raise ValueError(
+            f"{path} is not {what} training log (format={meta.get('format')!r})"
+        )
+    _verify_checksum(path, meta, arrays)
+    return meta, arrays
 
 
-def _verify_checksum(path: str | Path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+def _verify_checksum(path: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     """Check the embedded checksum; warn on legacy files that lack one."""
     expected = meta.get("checksum")
     if expected is None:
@@ -93,7 +117,7 @@ def _verify_checksum(path: str | Path, meta: dict, arrays: dict[str, np.ndarray]
             f"{path} has no embedded checksum (written before integrity "
             "checking existed); loading without verification",
             UserWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
         return
     actual = _content_checksum(arrays)
@@ -171,22 +195,15 @@ def _mask_or_none(participation, t: int) -> np.ndarray | None:
     return None if mask.all() else mask
 
 
-def load_training_log(path: str | Path) -> TrainingLog:
+def load_training_log(source: str | Path | BinaryIO) -> TrainingLog:
     """Read an HFL training log written by :func:`save_training_log`.
 
-    Verifies the embedded content checksum (legacy files without one load
-    with a warning); unreadable or mismatching files raise
-    :class:`TrainingLogIntegrityError`.
+    ``source`` is a path or a binary file object (messages name it by its
+    ``name`` attribute).  Verifies the embedded content checksum (legacy
+    files without one load with a warning); unreadable or mismatching
+    files raise :class:`TrainingLogIntegrityError`.
     """
-    with _open_npz(path) as data:
-        meta = json.loads(str(data["meta"]))
-        if meta.get("format") != _HFL_FORMAT:
-            raise ValueError(
-                f"{path} is not an HFL training log "
-                f"(format={meta.get('format')!r})"
-            )
-        arrays = {name: data[name] for name in data.files if name != "meta"}
-    _verify_checksum(path, meta, arrays)
+    meta, arrays = _read_log(source, _HFL_FORMAT, "an HFL")
     log = TrainingLog(participant_ids=list(meta["participant_ids"]))
     theta_before = arrays["theta_before"]
     local_updates = arrays["local_updates"]
@@ -253,22 +270,14 @@ def save_vfl_training_log(log: VFLTrainingLog, path: str | Path) -> None:
     np.savez_compressed(path, meta=json.dumps(meta), **arrays)
 
 
-def load_vfl_training_log(path: str | Path) -> VFLTrainingLog:
+def load_vfl_training_log(source: str | Path | BinaryIO) -> VFLTrainingLog:
     """Read a VFL training log written by :func:`save_vfl_training_log`.
 
-    Integrity semantics match :func:`load_training_log`: checksums are
-    verified, legacy files warn, corruption raises
-    :class:`TrainingLogIntegrityError`.
+    ``source`` and the integrity semantics match
+    :func:`load_training_log`: checksums are verified, legacy files warn,
+    corruption raises :class:`TrainingLogIntegrityError`.
     """
-    with _open_npz(path) as data:
-        meta = json.loads(str(data["meta"]))
-        if meta.get("format") != _VFL_FORMAT:
-            raise ValueError(
-                f"{path} is not a VFL training log "
-                f"(format={meta.get('format')!r})"
-            )
-        arrays = {name: data[name] for name in data.files if name != "meta"}
-    _verify_checksum(path, meta, arrays)
+    meta, arrays = _read_log(source, _VFL_FORMAT, "a VFL")
     log = VFLTrainingLog(
         feature_blocks=[np.array(b, dtype=np.int64) for b in meta["feature_blocks"]],
         active_parties=list(meta["active_parties"]),

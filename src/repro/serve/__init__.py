@@ -47,89 +47,83 @@ per-epoch additivity (Lemma 3, Eq. 13–15) to make contributions
   ``POST /cluster/resize`` rebalance.
 """
 
-from repro.core.streaming import StreamingHFLEstimator, StreamingVFLEstimator
-from repro.serve.cache import CacheMemo, ResultCache, RunDigest, fingerprint_arrays
-from repro.serve.chaos import ChaosError, ChaosPolicy, FlakyProxy, inject_chaos
-from repro.serve.cluster import (
-    ClusterRouter,
-    ClusterSupervisor,
-    ShardTimeout,
-    ShardUnavailable,
-    StaticTopology,
-    WorkerSpec,
-    serve_cluster,
-)
-from repro.serve.http import EvaluationHTTPServer, register_from_spec, serve
-from repro.serve.replication import (
-    ReplicationError,
-    WalApplier,
-    WalFollower,
-    WorkerController,
-)
-from repro.serve.resilience import (
-    AdmissionQueue,
-    Backoff,
-    CircuitBreaker,
-    CircuitOpen,
-    Deadline,
-    DeadlineExceeded,
-    QueryFailed,
-    RetryPolicy,
-    ServiceClosed,
-    ServiceOverloaded,
-)
-from repro.serve.ring import HashRing, ResizePlan
-from repro.serve.service import ContributionPublisher, EvaluationService
-from repro.serve.wal import (
-    RecoveryReport,
-    WriteAheadLog,
-    recover,
-    scan_wal,
-    validate_wal_record,
-)
+import importlib
 
-__all__ = [
-    "AdmissionQueue",
-    "Backoff",
-    "CacheMemo",
-    "ChaosError",
-    "ChaosPolicy",
-    "CircuitBreaker",
-    "CircuitOpen",
-    "ClusterRouter",
-    "ClusterSupervisor",
-    "ContributionPublisher",
-    "Deadline",
-    "DeadlineExceeded",
-    "EvaluationHTTPServer",
-    "EvaluationService",
-    "FlakyProxy",
-    "HashRing",
-    "QueryFailed",
-    "RecoveryReport",
-    "ReplicationError",
-    "ResizePlan",
-    "ResultCache",
-    "RetryPolicy",
-    "RunDigest",
-    "ServiceClosed",
-    "ServiceOverloaded",
-    "ShardTimeout",
-    "ShardUnavailable",
-    "StaticTopology",
-    "StreamingHFLEstimator",
-    "StreamingVFLEstimator",
-    "WalApplier",
-    "WalFollower",
-    "WorkerController",
-    "WorkerSpec",
-    "WriteAheadLog",
-    "fingerprint_arrays",
-    "inject_chaos",
-    "recover",
-    "register_from_spec",
-    "scan_wal",
-    "serve",
-    "serve_cluster",
-    "validate_wal_record",
-]
+# Public name -> the module that defines it.  Imported on first access
+# (PEP 562), so ``import repro.serve.http`` for one client call does not
+# load the cluster, replication and chaos modules too.
+_EXPORTS = {
+    "StreamingHFLEstimator": "repro.core.streaming",
+    "StreamingVFLEstimator": "repro.core.streaming",
+    **dict.fromkeys(
+        ("CacheMemo", "ResultCache", "RunDigest", "fingerprint_arrays"),
+        "repro.serve.cache",
+    ),
+    **dict.fromkeys(
+        ("ChaosError", "ChaosPolicy", "FlakyProxy", "inject_chaos"),
+        "repro.serve.chaos",
+    ),
+    **dict.fromkeys(
+        (
+            "ClusterRouter",
+            "ClusterSupervisor",
+            "ShardTimeout",
+            "ShardUnavailable",
+            "StaticTopology",
+            "WorkerSpec",
+            "serve_cluster",
+        ),
+        "repro.serve.cluster",
+    ),
+    **dict.fromkeys(
+        ("EvaluationHTTPServer", "register_from_spec", "serve"), "repro.serve.http"
+    ),
+    **dict.fromkeys(
+        ("ReplicationError", "WalApplier", "WalFollower", "WorkerController"),
+        "repro.serve.replication",
+    ),
+    **dict.fromkeys(
+        (
+            "AdmissionQueue",
+            "Backoff",
+            "CircuitBreaker",
+            "CircuitOpen",
+            "Deadline",
+            "DeadlineExceeded",
+            "QueryFailed",
+            "RetryPolicy",
+            "ServiceClosed",
+            "ServiceOverloaded",
+        ),
+        "repro.serve.resilience",
+    ),
+    "HashRing": "repro.serve.ring",
+    "ResizePlan": "repro.serve.ring",
+    "ContributionPublisher": "repro.serve.service",
+    "EvaluationService": "repro.serve.service",
+    **dict.fromkeys(
+        (
+            "RecoveryReport",
+            "WriteAheadLog",
+            "recover",
+            "scan_wal",
+            "validate_wal_record",
+        ),
+        "repro.serve.wal",
+    ),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -282,6 +282,14 @@ class CacheMemo(MutableMapping):
     def __setitem__(self, key, value) -> None:
         self.cache.put((self.prefix, key), value)
 
+    def put(self, key, value, size: int | None = None) -> None:
+        """``memo[key] = value``, charged ``size`` bytes when given.
+
+        Values :func:`payload_nbytes` cannot size (parsed logs, datasets)
+        would otherwise be charged a flat 1 KiB against the budget.
+        """
+        self.cache.put((self.prefix, key), value, size)
+
     def __delitem__(self, key) -> None:
         raise TypeError("cache-backed memos do not support deletion")
 

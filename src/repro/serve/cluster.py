@@ -188,9 +188,9 @@ def _worker_main(spec: WorkerSpec) -> None:
 
         _orig_ingest = _ES.ingest
 
-        def _slow_ingest(self, run_id, record, *, seq=None):
+        def _slow_ingest(self, run_id, record, **kwargs):
             time.sleep(spec.chaos_ingest_ms / 1e3)
-            return _orig_ingest(self, run_id, record, seq=seq)
+            return _orig_ingest(self, run_id, record, **kwargs)
 
         service.ingest = _slow_ingest.__get__(service, _ES)
     wal = WriteAheadLog(spec.wal_dir)

@@ -54,21 +54,35 @@ rest.  Run it with ``python -m repro.cli serve --port 8733``; add
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import os
+import stat
 import threading
 import time
+from dataclasses import dataclass
 from http.client import HTTPConnection, HTTPMessage
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Callable
 from urllib.parse import parse_qs, urlparse
 
+import numpy as np
+
 from repro.data import HFL_DATASETS, build_hfl_federation
-from repro.io import load_training_log, load_vfl_training_log
+from repro.data.dataset import Dataset
+from repro.hfl.log import TrainingLog
+from repro.io import (
+    TrainingLogIntegrityError,
+    load_training_log,
+    load_vfl_training_log,
+)
 from repro.metrics.cost import LatencyHistogram
 from repro.obs.registry import PROMETHEUS_CONTENT_TYPE
 from repro.obs.slo import SloTracker, shed_from_response
 from repro.obs.trace import context_from_headers
 from repro.nn import make_hfl_model
+from repro.nn.models import Classifier
 from repro.serve.resilience import (
     DeadlineExceeded,
     QueryFailed,
@@ -77,8 +91,14 @@ from repro.serve.resilience import (
 )
 from repro.serve.service import EvaluationService
 from repro.utils.rng import derive_seed
+from repro.vfl.log import VFLTrainingLog
 
 _DEFAULT_N_SAMPLES = 1200
+# service.cache namespaces of the spec loader (see load_spec).
+_LOG_MEMO = "speclog"
+_VALIDATION_MEMO = "validation"
+# Every saved log is an .npz, i.e. a zip archive with at least one member.
+_ZIP_MAGIC = b"PK\x03\x04"
 # POST /runs bodies are small JSON specs; anything bigger is a mistake
 # (or a memory-exhaustion attempt) and is refused before being read.
 MAX_BODY_BYTES = 1024 * 1024
@@ -352,14 +372,50 @@ def hfl_validation_and_model(dataset: str, seed: int, n_samples: int | None = No
     return federation.validation, model_factory
 
 
-def register_from_spec(service: EvaluationService, spec: dict) -> dict:
-    """Handle a ``POST /runs`` body: load the log, register, ingest.
+@dataclass(frozen=True)
+class RunInputs:
+    """A validated register spec and the inputs it names, ready to register.
 
-    Registration, WAL recording and ingestion happen in that order, so
-    an attached :class:`~repro.serve.wal.WriteAheadLog` sees the
-    ``register`` record before any of the run's ``ingest`` records —
-    exactly the replay order :func:`repro.serve.wal.recover` needs when
-    the process is killed mid-ingest.
+    ``record`` is the spec in the form a WAL ``register`` record holds it,
+    with ``run_id`` as requested (``None`` asks for an automatic id).
+    """
+
+    record: dict
+    log: TrainingLog | VFLTrainingLog
+    validation: Dataset | None = None
+    model_factory: Callable[[], Classifier] | None = None
+
+    def register(self, service: EvaluationService) -> str:
+        """Register the (empty) run this spec describes; returns its id."""
+        record = self.record
+        common = {
+            "run_id": record["run_id"],
+            "estimator": record["estimator"],
+            "estimator_options": record["estimator_options"],
+        }
+        if record["kind"] == "hfl":
+            return service.register_hfl(
+                self.log.participant_ids,
+                self.validation,
+                self.model_factory,
+                use_logged_weights=record["use_logged_weights"],
+                **common,
+            )
+        return service.register_vfl(
+            self.log.feature_blocks, self.log.active_parties, **common
+        )
+
+
+def load_spec(service: EvaluationService, spec: dict) -> RunInputs:
+    """The one register-spec loader: validate a spec, then build its inputs.
+
+    ``POST /runs``, WAL recovery, standby apply and resize adoption all
+    load through here.  Invalid fields are typed 400s; a missing log file
+    raises :class:`FileNotFoundError` and an unreadable or tampered one
+    :class:`~repro.io.TrainingLogIntegrityError`.  The log and, for HFL,
+    the (validation set, model factory) pair come from ``service.cache``
+    (see :func:`_cached_log` and :func:`_cached_validation`), so a log
+    the service has already seen costs one read and one hash.
     """
     kind = spec.get("kind")
     if kind not in ("hfl", "vfl"):
@@ -367,81 +423,162 @@ def register_from_spec(service: EvaluationService, spec: dict) -> dict:
     log_path = spec.get("log_path")
     if not log_path:
         raise ApiError(400, "log_path is required")
-    estimator, estimator_options = _resolve_estimator(spec, kind)
-    requested = estimator
-    run_id = spec.get("run_id")
+    estimator, options = _resolve_estimator(spec, kind)
+    record = {"kind": kind, "log_path": str(log_path), "run_id": spec.get("run_id")}
+    if kind == "hfl":
+        record.update(_hfl_fields(spec))
+    log = _cached_log(service, kind, record["log_path"])
+    if estimator == "auto":
+        n_parties = len(log.feature_blocks if kind == "vfl" else log.participant_ids)
+        estimator = _auto_estimator(kind, n_parties, options)
+    record.update(estimator=estimator, estimator_options=options)
+    if kind == "vfl":
+        return RunInputs(record, log)
+    validation, model_factory = _cached_validation(
+        service, record["dataset"], record["seed"], record["n_samples"]
+    )
+    return RunInputs(record, log, validation, model_factory)
+
+
+def _hfl_fields(spec: dict) -> dict:
+    """The HFL-only spec fields, checked; defaults filled in."""
+    dataset = spec.get("dataset", "mnist")
+    if not isinstance(dataset, str) or dataset not in HFL_DATASETS:
+        raise ApiError(400, f"{dataset!r} is not an HFL dataset")
     try:
-        if kind == "hfl":
-            log = load_training_log(log_path)
-            if estimator == "auto":
-                estimator = _auto_estimator(
-                    kind, len(log.participant_ids), estimator_options
+        seed = int(spec.get("seed", 0))
+    except (TypeError, ValueError):
+        raise ApiError(400, f"seed must be an integer, got {spec.get('seed')!r}") from None
+    n_samples = spec.get("n_samples")
+    if n_samples is not None and (
+        isinstance(n_samples, bool) or not isinstance(n_samples, int)
+    ):
+        raise ApiError(400, f"n_samples must be an integer, got {n_samples!r}")
+    return {
+        "dataset": dataset,
+        "seed": seed,
+        "n_samples": n_samples,
+        "use_logged_weights": bool(spec.get("use_logged_weights", False)),
+    }
+
+
+def _cached_log(service: EvaluationService, kind: str, log_path: str):
+    """A verified, parsed training log, keyed on the file's content.
+
+    The file is read once; the key is ``(kind, SHA-256 of its bytes)``, so
+    no file metadata is trusted: a rewrite of any size or mtime is a
+    miss, and a corrupted file is a miss that fails verification.  A miss
+    parses those same bytes, never the path again, so the file cannot
+    change between hash and parse.  Entries share the service's cache
+    budget at their real array size, and their arrays are read-only, so
+    a consumer that writes to one fails instead of changing another
+    run's answer.
+    """
+    raw = _read_log_file(log_path)
+    key = (kind, hashlib.sha256(raw).hexdigest())
+    memo = service.cache.memo(_LOG_MEMO)
+    log = memo.get(key)
+    if log is None:
+        source = io.BytesIO(raw)
+        source.name = log_path
+        loader = load_training_log if kind == "hfl" else load_vfl_training_log
+        log = loader(source)
+        arrays = [a for r in log.records for a in vars(r).values()]
+        memo.put(key, log, size=_freeze(*arrays, *getattr(log, "feature_blocks", ())))
+    return log
+
+
+def _read_log_file(log_path: str) -> bytes:
+    """The bytes of the training log at ``log_path``, bounded by its size.
+
+    The path comes from the client, so only a regular file is read: it
+    is opened non-blocking (a FIFO cannot hang the thread), checked with
+    ``fstat`` on that descriptor (a device, FIFO or directory is refused
+    before any read, so ``/dev/zero`` cannot exhaust memory), refused
+    after four bytes unless it starts like a zip archive, as ``np.load``
+    refused it, and then read for at most the ``st_size`` it had.
+    """
+    try:
+        fd = os.open(log_path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise TrainingLogIntegrityError(
+            f"{log_path} is not a readable training log: {exc}"
+        ) from exc
+    try:
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode):
+            raise TrainingLogIntegrityError(
+                f"{log_path} is not a readable training log: not a regular file"
+            )
+        with os.fdopen(fd, "rb", closefd=False) as fh:
+            if fh.read(4) != _ZIP_MAGIC:
+                raise TrainingLogIntegrityError(
+                    f"{log_path} is not a readable training log: not a zip archive"
                 )
-            validation, model_factory = hfl_validation_and_model(
-                spec.get("dataset", "mnist"),
-                int(spec.get("seed", 0)),
-                spec.get("n_samples"),
-            )
-            run_id = service.register_hfl(
-                log.participant_ids,
-                validation,
-                model_factory,
-                run_id=run_id,
-                use_logged_weights=bool(spec.get("use_logged_weights", False)),
-                estimator=estimator,
-                estimator_options=estimator_options,
-            )
-            service.record_registration(
-                {
-                    "kind": "hfl",
-                    "log_path": str(log_path),
-                    "run_id": run_id,
-                    "dataset": spec.get("dataset", "mnist"),
-                    "seed": int(spec.get("seed", 0)),
-                    "n_samples": spec.get("n_samples"),
-                    "use_logged_weights": bool(
-                        spec.get("use_logged_weights", False)
-                    ),
-                    "estimator": estimator,
-                    "estimator_options": estimator_options,
-                }
-            )
-        else:
-            log = load_vfl_training_log(log_path)
-            if estimator == "auto":
-                estimator = _auto_estimator(
-                    kind, len(log.feature_blocks), estimator_options
-                )
-            run_id = service.register_vfl(
-                log.feature_blocks,
-                log.active_parties,
-                run_id=run_id,
-                estimator=estimator,
-                estimator_options=estimator_options,
-            )
-            service.record_registration(
-                {
-                    "kind": "vfl",
-                    "log_path": str(log_path),
-                    "run_id": run_id,
-                    "estimator": estimator,
-                    "estimator_options": estimator_options,
-                }
-            )
-        service.ingest_log(run_id, log)
+            fh.seek(0)
+            return fh.read(info.st_size)
+    finally:
+        os.close(fd)
+
+
+def _cached_validation(
+    service: EvaluationService, dataset: str, seed: int, n_samples: int | None
+):
+    """:func:`hfl_validation_and_model`, memoised in ``service.cache``.
+
+    The builder itself stays pure and unmemoised — references computed
+    with it are independent of any server's cache.
+    """
+    key = (dataset, seed, n_samples or _DEFAULT_N_SAMPLES)
+    memo = service.cache.memo(_VALIDATION_MEMO)
+    pair = memo.get(key)
+    if pair is None:
+        pair = hfl_validation_and_model(*key)
+        validation = pair[0]
+        memo.put(key, pair, size=_freeze(validation.X, validation.y))
+    return pair
+
+
+def _freeze(*arrays) -> int:
+    """Make the arrays read-only; returns their total byte size."""
+    total = 0
+    for array in arrays:
+        if isinstance(array, np.ndarray):
+            array.setflags(write=False)
+            total += array.nbytes
+    return total
+
+
+def register_from_spec(service: EvaluationService, spec: dict) -> dict:
+    """Handle a ``POST /runs`` body: load the spec, register, ingest.
+
+    The ``register`` record goes to an attached
+    :class:`~repro.serve.wal.WriteAheadLog` before any of the run's
+    ``ingest`` records — exactly the replay order
+    :func:`repro.serve.wal.recover` needs when the process is killed
+    mid-ingest — and all of them share one fsync, issued before this
+    returns (:meth:`EvaluationService.ingest_log`).
+    """
+    try:
+        inputs = load_spec(service, spec)
+        run_id = inputs.register(service)
+        service.record_registration(inputs.record | {"run_id": run_id}, sync=False)
+        service.ingest_log(run_id, inputs.log)
     except ApiError:
         raise
     except FileNotFoundError:
-        raise ApiError(400, f"no training log at {log_path!r}") from None
+        raise ApiError(400, f"no training log at {spec.get('log_path')!r}") from None
     except (ValueError, KeyError) as exc:
         raise ApiError(400, str(exc)) from None
     summary = {
         "run_id": run_id,
-        "kind": kind,
-        "estimator": estimator,
-        "epochs": log.n_epochs,
+        "kind": inputs.record["kind"],
+        "estimator": inputs.record["estimator"],
+        "epochs": inputs.log.n_epochs,
     }
-    if requested == "auto":
+    if spec.get("estimator") == "auto":
         # The 201 echoes the *concretely chosen* backend (and that it was
         # auto-selected); queries report it too via the run summary.
         summary["estimator_requested"] = "auto"
@@ -455,8 +592,7 @@ def _resolve_estimator(spec: dict, kind: str) -> tuple[str, dict]:
     400 listing every registered backend, an unknown option or a
     kind-unsupporting backend answers 400 with the constructor's
     message.  ``"auto"`` passes through unresolved — the crossover
-    policy needs the log's party count, so :func:`register_from_spec`
-    resolves it (via :func:`repro.core.backends.choose_backend`) right
+    policy needs the log's party count, so :func:`load_spec` resolves it (via :func:`repro.core.backends.choose_backend`) right
     after loading the log.
     """
     from repro.core.backends import UnknownBackendError, backend_names, get_backend

@@ -47,8 +47,8 @@ import threading
 from http.client import HTTPException
 from pathlib import Path
 
-from repro.io import TrainingLogIntegrityError, load_training_log, load_vfl_training_log
-from repro.serve.http import ApiError, hfl_validation_and_model, http_request
+from repro.io import TrainingLogIntegrityError
+from repro.serve.http import ApiError, http_request, load_spec
 from repro.serve.wal import (
     INGEST,
     REGISTER,
@@ -117,49 +117,21 @@ class WalApplier:
 
     # ------------------------------------------------------------ internals
 
-    def _load_log(self, spec: dict):
-        if spec.get("kind") == "hfl":
-            return load_training_log(spec["log_path"])
-        return load_vfl_training_log(spec["log_path"])
-
     def _apply_register(self, spec: dict) -> None:
         run_id = spec.get("run_id")
         already = run_id is not None and self.service.has_run(run_id)
         if already and run_id in self._logs:
             return  # redelivered frame, nothing new
         try:
-            log = self._load_log(spec)
+            inputs = load_spec(self.service, spec)
             if not already:
-                if spec.get("kind") == "hfl":
-                    validation, model_factory = hfl_validation_and_model(
-                        spec.get("dataset", "mnist"),
-                        int(spec.get("seed", 0)),
-                        spec.get("n_samples"),
-                    )
-                    self.service.register_hfl(
-                        log.participant_ids,
-                        validation,
-                        model_factory,
-                        run_id=run_id,
-                        use_logged_weights=bool(
-                            spec.get("use_logged_weights", False)
-                        ),
-                        estimator=spec.get("estimator", "digfl"),
-                        estimator_options=spec.get("estimator_options"),
-                    )
-                else:
-                    self.service.register_vfl(
-                        log.feature_blocks,
-                        log.active_parties,
-                        run_id=run_id,
-                        estimator=spec.get("estimator", "digfl"),
-                        estimator_options=spec.get("estimator_options"),
-                    )
+                inputs.register(self.service)
         except (
             FileNotFoundError,
             TrainingLogIntegrityError,
             KeyError,
             ValueError,
+            ApiError,
         ) as exc:
             # Losing one run's log file — or a WAL spec naming an
             # estimator backend this process doesn't register — must not
@@ -172,7 +144,7 @@ class WalApplier:
             # this worker's own WAL replays in the order recovery needs.
             self.service.record_registration(dict(spec))
             self.runs_restored += 1
-        self._logs[run_id] = (dict(spec), log)
+        self._logs[run_id] = (dict(spec), inputs.log)
 
     def _apply_ingest(self, payload: dict) -> None:
         run_id = payload.get("run_id")
@@ -189,7 +161,7 @@ class WalApplier:
             # loaded it (live pipelines append); reload once before
             # declaring the WAL and the file out of sync.
             try:
-                log = self._load_log(spec)
+                log = load_spec(self.service, spec).log
                 self._logs[run_id] = (spec, log)
             except (FileNotFoundError, TrainingLogIntegrityError, KeyError):
                 pass

@@ -356,18 +356,19 @@ class EvaluationService:
             self._runs[run_id] = run
         return run_id
 
-    def record_registration(self, spec: dict) -> None:
-        """Durably log a spec-level registration (``POST /runs``) to the WAL.
+    def record_registration(self, spec: dict, *, sync: bool = True) -> None:
+        """Log a spec-level registration (``POST /runs``) to the WAL.
 
-        The HTTP layer calls this *after* registering and *before*
-        ingesting, so the WAL's order (register, then that run's ingests)
-        is exactly the replay order recovery needs.  No WAL, no-op.
+        Called *after* registering and *before* ingesting, so the WAL's
+        order (register, then that run's ingests) is exactly the replay
+        order recovery needs.  ``sync=False`` leaves the fsync to the
+        commit of the :meth:`ingest_log` that follows.  No WAL, no-op.
         """
         if self.wal is not None:
             from repro.serve import wal as _wal
 
             with self.obs.tracer.span("wal.append", kind=_wal.REGISTER):
-                self.wal.append(_wal.REGISTER, dict(spec))
+                self.wal.append(_wal.REGISTER, dict(spec), sync=sync)
 
     def attach_wal(self, wal: "WriteAheadLog") -> None:
         """Start logging registry mutations to ``wal`` (post-recovery hook)."""
@@ -408,6 +409,7 @@ class EvaluationService:
         record: EpochRecord | VFLEpochRecord,
         *,
         seq: int | None = None,
+        sync: bool = True,
     ) -> int:
         """Feed one epoch record; returns the epoch count after ingestion.
 
@@ -418,6 +420,8 @@ class EvaluationService:
         transient failure without double-ingesting.  Ingestion is atomic:
         the digest is advanced on a fork and committed only after the
         estimator accepts the record, so a failed ingest changes nothing.
+        Behind a WAL the record is durable on return; ``sync=False``
+        writes it but leaves the fsync to the caller's commit.
         """
         self._ensure_open()
         run = self._run(run_id)
@@ -462,6 +466,7 @@ class EvaluationService:
                             "epoch": epochs,
                             "digest": candidate.hexdigest(),
                         },
+                        sync=sync,
                     )
         self.ingest_latency.record(time.perf_counter() - started)
         self.obs.logger.debug(
@@ -484,16 +489,30 @@ class EvaluationService:
         ``deadline`` is checked between records; expiry surfaces the
         epochs ingested so far as partial progress, and a retry resumes
         where the deadline cut in.
+
+        Behind a WAL the batch is one group commit: every epoch record is
+        written and flushed one at a time, as a lone :meth:`ingest` would,
+        then one fsync makes them — and any record logged before them with
+        ``sync=False``, such as a ``POST /runs`` registration — durable
+        before this returns or raises, so no progress reaches a caller,
+        not even a deadline's partial count, that a crash could take back.
         """
         self._ensure_open()
         run = self._run(run_id)
         with run.lock:
-            start = run.estimator.n_epochs
-            for record in log.records[start:]:
-                if deadline is not None:
-                    deadline.check(epochs_ingested=run.estimator.n_epochs)
-                self.ingest(run_id, record)
-            return run.estimator.n_epochs
+            try:
+                start = run.estimator.n_epochs
+                for record in log.records[start:]:
+                    if deadline is not None:
+                        deadline.check(epochs_ingested=run.estimator.n_epochs)
+                    self.ingest(run_id, record, sync=False)
+                return run.estimator.n_epochs
+            finally:
+                if self.wal is not None:
+                    with self.obs.tracer.span("wal.commit"), run.profiler.phase(
+                        "wal.fsync"
+                    ):
+                        self.wal.commit()
 
     def publisher(self, run_id: str, **kwargs) -> "ContributionPublisher":
         """A live-publishing hook for :meth:`repro.runtime.FederatedRuntime.run_hfl`.

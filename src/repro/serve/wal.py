@@ -14,11 +14,15 @@ the service acknowledges them, two kinds of facts:
   :func:`repro.io.hash_arrays`-based :class:`~repro.serve.cache.RunDigest`
   the result cache keys on).
 
-Each line is JSON stamped with a :func:`repro.io.json_checksum`, written
-with ``flush + fsync`` so a SIGKILL can tear at most the final line.
-:func:`replay` tolerates exactly that torn tail (dropped with a
+Each line is JSON stamped with a :func:`repro.io.json_checksum` and
+written and flushed on its own, so a SIGKILL can tear at most the final
+line.  :func:`replay` tolerates exactly that torn tail (dropped with a
 warning); corruption *before* the tail raises :class:`WalCorruption` —
-a mid-file flip means the history cannot be trusted.
+a mid-file flip means the history cannot be trusted.  Durability is per
+*commit*: a live ``ingest`` fsyncs its one record, while a ``POST
+/runs`` writes its register record and every epoch record, then fsyncs
+once (:meth:`WriteAheadLog.commit`) before the service acknowledges
+anything.
 
 :func:`recover` rebuilds an :class:`~repro.serve.service.EvaluationService`
 from a WAL: it re-registers every spec, replays each run's saved ``.npz``
@@ -181,9 +185,12 @@ class WriteAheadLog:
     One WAL file (``serve.wal`` inside ``directory``) serves one
     :class:`EvaluationService` process at a time.  Opening an existing
     file resumes its sequence numbers and truncates any torn tail, so
-    append-after-recovery keeps the file replayable.  ``fsync=False``
-    trades the per-record ``fsync`` for speed in benchmarks; the CLI
-    always runs fsync'd.
+    append-after-recovery keeps the file replayable.  Every record is
+    written and flushed as it is appended; the ``fsync`` is per commit —
+    an :meth:`append` commits its own record unless told ``sync=False``,
+    and :meth:`commit` then makes every record written so far durable
+    with one ``fsync``.  ``fsync=False`` skips the ``fsync`` altogether,
+    for speed in benchmarks; the CLI always runs fsync'd.
     """
 
     FILENAME = "serve.wal"
@@ -211,6 +218,9 @@ class WriteAheadLog:
         # all) — seq allocation and the write+flush+fsync must be atomic
         # or replay() sees interleaved/out-of-order records as corruption.
         self._lock = threading.Lock()
+        # The last seq an fsync covers; records after it are written and
+        # flushed but not yet committed, and /wal/stream holds them back.
+        self._durable_seq = self._next_seq - 1
 
     @property
     def path(self) -> Path:
@@ -224,11 +234,16 @@ class WriteAheadLog:
 
     # ------------------------------------------------------------ writing
 
-    def append(self, kind: str, payload: dict) -> int:
-        """Durably record one fact; returns its sequence number.
+    def append(self, kind: str, payload: dict, *, sync: bool = True) -> int:
+        """Record one fact; returns its sequence number.
 
-        Thread-safe: concurrent appends are serialised so sequence
-        numbers are dense and lines never interleave.
+        The line is written and flushed at once, so a SIGKILL can tear at
+        most this line.  ``sync=True`` also fsyncs it before returning;
+        ``sync=False`` leaves it for the caller's :meth:`commit`, which
+        must come before anything the record stands for is acknowledged —
+        and before :meth:`frames_from` ships it to a follower.  Thread-safe:
+        concurrent appends are serialised so sequence numbers are dense
+        and lines never interleave.
         """
         if kind not in _KINDS:
             raise ValueError(f"kind must be one of {sorted(_KINDS)}, got {kind!r}")
@@ -241,14 +256,31 @@ class WriteAheadLog:
             line = json.dumps(record, sort_keys=True) + "\n"
             self._fh.write(line.encode())
             self._fh.flush()
+            self._next_seq += 1
+            if sync:
+                self._sync()
+            return seq
+
+    def commit(self) -> None:
+        """Make every record written so far durable: at most one fsync.
+
+        A no-op when nothing is pending — another thread's synced append
+        or commit already covered it, since an fsync covers the whole file.
+        """
+        with self._lock:
+            if not self._fh.closed:
+                self._sync()
+
+    def _sync(self) -> None:
+        if self._durable_seq < self._next_seq - 1:
             if self.fsync:
                 os.fsync(self._fh.fileno())
-            self._next_seq += 1
-            return seq
+            self._durable_seq = self._next_seq - 1
 
     def close(self) -> None:
         with self._lock:
             if not self._fh.closed:
+                self._sync()
                 self._fh.close()
 
     def __enter__(self) -> "WriteAheadLog":
@@ -283,14 +315,17 @@ class WriteAheadLog:
         (0 when empty) — their difference is the follower's replication
         lag.  Re-reads the file rather than holding state: the append
         handle and lock stay untouched, so streaming never slows writes.
-        A torn final line (a concurrent append caught mid-write) is
-        simply not served yet.
+        A record not yet covered by an fsync (a ``POST /runs`` before its
+        :meth:`commit`) and a torn final line (a concurrent append caught
+        mid-write) are simply not served yet, so a follower never holds a
+        record that a crash of this host could still take from this file.
         """
         if from_seq < 1:
             raise ValueError(f"from_seq must be >= 1, got {from_seq}")
         if limit < 1:
             raise ValueError(f"limit must be >= 1, got {limit}")
-        entries, _, _ = scan_wal(self.path)
+        durable = self._durable_seq
+        entries = [e for e in scan_wal(self.path)[0] if e.seq <= durable]
         end_seq = entries[-1].seq if entries else 0
         window = [e for e in entries if e.seq >= from_seq][:limit]
         next_seq = (window[-1].seq + 1) if window else max(from_seq, end_seq + 1)

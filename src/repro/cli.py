@@ -345,19 +345,9 @@ def _cmd_serve(args) -> int:
         obs=obs,
     )
     if args.chaos_ingest_ms:
-        # Test hook for the CI chaos job: a per-epoch ingest delay widens
-        # the window in which a SIGKILL lands mid-ingest.
-        import time as _time
+        from repro.serve.chaos import delay_ingest
 
-        from repro.serve.service import EvaluationService as _ES
-
-        _orig_ingest = _ES.ingest
-
-        def _slow_ingest(self, run_id, record, **kwargs):
-            _time.sleep(args.chaos_ingest_ms / 1e3)
-            return _orig_ingest(self, run_id, record, **kwargs)
-
-        service.ingest = _slow_ingest.__get__(service, _ES)
+        delay_ingest(service, args.chaos_ingest_ms)
     if args.wal_dir:
         from repro.serve.wal import WriteAheadLog, recover
 

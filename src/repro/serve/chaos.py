@@ -161,6 +161,21 @@ def inject_chaos(service, run_id: str, policy: ChaosPolicy) -> ChaosEstimator:
     return wrapped
 
 
+def delay_ingest(service, delay_ms: float) -> None:
+    """Sleep ``delay_ms`` before every epoch ``service.ingest``.
+
+    The ``--chaos-ingest-ms`` hook of ``repro serve`` and of every cluster
+    worker: it widens the window in which a SIGKILL lands mid-ingest.
+    """
+    ingest = service.ingest
+
+    def slow_ingest(run_id, record, **kwargs):
+        time.sleep(delay_ms / 1e3)
+        return ingest(run_id, record, **kwargs)
+
+    service.ingest = slow_ingest
+
+
 class FlakyProxy:
     """A sink/service proxy whose named methods fail the first ``failures`` times.
 

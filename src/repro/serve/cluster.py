@@ -74,6 +74,19 @@ from repro.serve.resilience import Backoff, CircuitBreaker
 from repro.serve.ring import HashRing
 from repro.serve.wal import REGISTER, WriteAheadLog, scan_wal
 
+# Supervisor constants.  Every deployment, test and benchmark runs these
+# values, so they are not options.
+RING_REPLICAS = 64  # virtual nodes per shard on the hash ring
+PROBE_TIMEOUT_S = 2.0  # one /healthz probe
+PROBE_FAILURES = 2  # failed probes or proxies that open a shard's breaker
+READY_TIMEOUT_S = 60.0  # a spawned worker must answer /healthz within this
+MAX_RESPAWNS = 20  # a shard respawned this often is left down: a crash loop
+RETRY_AFTER_HINT_S = 3.0  # the Retry-After of a 503 for a down shard
+RESPAWN_BACKOFF_BASE_S = 0.5
+RESPAWN_BACKOFF_CAP_S = 30.0
+BACKOFF_STABILITY_S = 5.0  # up this long after a spawn: its backoff resets
+FOLLOW_POLL_S = 0.05  # a standby's /wal/stream poll interval
+
 
 class ShardUnavailable(ApiError):
     """A shard is down or unreachable: 503, retry after ``retry_after_s``."""
@@ -127,8 +140,6 @@ class WorkerSpec:
     max_workers: int = 4
     query_deadline_ms: float | None = None
     admission_limit: int | None = None
-    breaker_failures: int = 3
-    breaker_reset_s: float = 30.0
     chaos_ingest_ms: float = 0.0
     trace: bool = False
     verbose: bool = False
@@ -140,7 +151,6 @@ class WorkerSpec:
     # promotion costs only the replication lag.  wal_dir is kept for the
     # final catch-up read of the (dead) primary's WAL *file*.
     follow: tuple[str, int, str] | None = None
-    follow_poll_s: float = 0.05
     # Scenario-matrix verdict file served by GET /robustness; the
     # supervisor resolves it to an absolute path once, for every spawn.
     robustness_file: str | None = None
@@ -177,22 +187,12 @@ def _worker_main(spec: WorkerSpec) -> None:
         max_workers=spec.max_workers,
         query_deadline_ms=spec.query_deadline_ms,
         admission_limit=spec.admission_limit,
-        breaker_failures=spec.breaker_failures,
-        breaker_reset_s=spec.breaker_reset_s,
         obs=obs,
     )
     if spec.chaos_ingest_ms:
-        # Chaos hook (mirrors repro.cli serve --chaos-ingest-ms): slow
-        # each epoch ingest so a SIGKILL reliably lands mid-ingest.
-        from repro.serve.service import EvaluationService as _ES
+        from repro.serve.chaos import delay_ingest
 
-        _orig_ingest = _ES.ingest
-
-        def _slow_ingest(self, run_id, record, **kwargs):
-            time.sleep(spec.chaos_ingest_ms / 1e3)
-            return _orig_ingest(self, run_id, record, **kwargs)
-
-        service.ingest = _slow_ingest.__get__(service, _ES)
+        delay_ingest(service, spec.chaos_ingest_ms)
     wal = WriteAheadLog(spec.wal_dir)
     # One applier per worker, shared by boot recovery, the streaming
     # follower (standbys) and /control/adopt (all roles — rebalance
@@ -222,7 +222,7 @@ def _worker_main(spec: WorkerSpec) -> None:
             # re-logged, so this is a safe (at worst conservative) bound
             # on the primary sequence already absorbed.
             start_seq=wal.next_seq,
-            poll_s=spec.follow_poll_s,
+            poll_s=FOLLOW_POLL_S,
             registry=service.obs.registry,
         )
         follower.start()
@@ -262,23 +262,111 @@ def _free_port(host: str) -> int:
         return sock.getsockname()[1]
 
 
+def _backoff(seed: int) -> Backoff:
+    return Backoff(RESPAWN_BACKOFF_BASE_S, RESPAWN_BACKOFF_CAP_S, seed=seed)
+
+
+@dataclass
+class _Worker:
+    """One worker slot of a shard — its primary or its standby.
+
+    The slot outlives its processes: a respawn or a promotion puts a new
+    ``spec``/``proc`` into it and keeps the slot's backoff.  ``stopped``
+    is set once, when the shard is retired or the cluster stops, and no
+    spawn fills the slot after that.
+    """
+
+    spec: WorkerSpec
+    backoff: Backoff
+    proc: multiprocessing.process.BaseProcess | None = None
+    started_at: float = 0.0
+    stopped: bool = False
+
+    @property
+    def label(self) -> str:
+        role = "standby for " if self.spec.follow else ""
+        return f"{role}shard {self.spec.shard}"
+
+    def alive(self) -> bool:
+        return self.proc is not None and self.proc.is_alive()
+
+    def describe(self) -> dict:
+        return {
+            "address": [self.spec.host, self.spec.port],
+            "wal_dir": self.spec.wal_dir,
+            "pid": self.proc.pid if self.proc is not None else None,
+            "alive": self.alive(),
+        }
+
+
 # -------------------------------------------------------------------- topology
 
 
-class StaticTopology:
-    """A fixed routing table over already-running workers.
+@dataclass
+class _Route:
+    """A fixed routing-table row: where a shard answers, and its breaker."""
 
-    The router only needs four things from its topology — the ring, an
-    address per shard, a circuit breaker per shard, and a failure hint —
-    so tests (and embeddings that manage worker processes themselves)
-    can hand it this instead of a full :class:`ClusterSupervisor`.
+    address: tuple[str, int]
+    breaker: CircuitBreaker
+
+    def describe(self) -> dict:
+        return {"address": list(self.address), "breaker": self.breaker.stats()}
+
+
+@dataclass
+class _Shard:
+    """A supervised row: the shard's worker slots, breaker and counters.
+
+    The router proxies to the primary's address.  The breaker is the
+    shard's, not a worker's: a promotion keeps it.
+    """
+
+    primary: _Worker
+    breaker: CircuitBreaker
+    standby: _Worker | None = None
+    generation: int = 0  # standby incarnations; each gets a fresh WAL dir
+    respawns: int = 0
+    promotions: int = 0
+
+    @property
+    def address(self) -> tuple[str, int]:
+        return (self.primary.spec.host, self.primary.spec.port)
+
+    def workers(self) -> list[_Worker]:
+        return [w for w in (self.primary, self.standby) if w is not None]
+
+    def describe(self) -> dict:
+        entry = {
+            **self.primary.describe(),
+            "breaker": self.breaker.stats(),
+            "respawns": self.respawns,
+            "respawn_backoff_s": round(self.primary.backoff.remaining_s(), 3),
+            "promotions": self.promotions,
+        }
+        if self.standby is not None:
+            entry["standby"] = {
+                **self.standby.describe(),
+                "generation": self.generation,
+            }
+        return entry
+
+
+class StaticTopology:
+    """The router's routing table: a ring, and a row per shard.
+
+    The router needs the ring and its epoch, an address and a circuit
+    breaker per shard, and a ``Retry-After`` hint.  Built from a map of
+    already-running workers, this is that table as is — what tests (and
+    embeddings that manage worker processes themselves) hand the router.
+    :class:`ClusterSupervisor` is the same table over live workers: it
+    rewrites rows and the ring on promote and resize.
     """
 
     def __init__(
         self,
         workers: Mapping[Hashable, tuple[str, int]],
         *,
-        replicas: int = 64,
+        replicas: int = RING_REPLICAS,
         breaker_failures: int = 2,
         breaker_reset_s: float = 1.0,
         retry_after_hint_s: float = 1.0,
@@ -286,62 +374,74 @@ class StaticTopology:
         if not workers:
             raise ValueError("a topology needs at least one worker")
         self.ring = HashRing(workers, replicas=replicas)
-        self._addresses = {
-            shard: (str(host), int(port))
+        self.ring_epoch = 0
+        self.retry_after_hint_s = retry_after_hint_s
+        self.shards: dict = {
+            shard: _Route(
+                (str(host), int(port)),
+                CircuitBreaker(breaker_failures, breaker_reset_s),
+            )
             for shard, (host, port) in workers.items()
         }
-        self._breakers = {
-            shard: CircuitBreaker(breaker_failures, breaker_reset_s)
-            for shard in workers
-        }
-        self.retry_after_hint_s = retry_after_hint_s
-        self.ring_epoch = 0
+
+    def _row(self, shard):
+        row = self.shards.get(shard)
+        if row is None:
+            # Retired between routing and proxying (a shrink, or a failed
+            # grow undoing its spawns): unavailable, not a bare KeyError.
+            raise ShardUnavailable(
+                shard, "not on the cluster", self.retry_after_hint_s
+            )
+        return row
 
     def address(self, shard) -> tuple[str, int]:
-        return self._addresses[shard]
+        return self._row(shard).address
 
     def breaker(self, shard) -> CircuitBreaker:
-        return self._breakers[shard]
-
-    def notify_failure(self, shard) -> None:
-        """No supervisor behind this topology; nothing to wake."""
+        return self._row(shard).breaker
 
     def retry_after_s(self, shard) -> float:
         return self.retry_after_hint_s
+
+    def notify_failure(self, shard) -> None:
+        """No supervisor behind this topology; nothing to wake."""
 
     def dual_target(self, key: str):
         """No rebalance machinery here; writes never need a second copy."""
         return None
 
     def describe(self) -> dict:
+        rows = dict(self.shards)
         return {
             "replicas": self.ring.replicas,
             "supervised": False,
             "ring_epoch": self.ring_epoch,
             "shards": {
-                str(shard): {
-                    "address": list(self._addresses[shard]),
-                    "breaker": self._breakers[shard].stats(),
-                }
-                for shard in sorted(self._addresses, key=str)
+                str(shard): rows[shard].describe()
+                for shard in sorted(rows, key=str)
             },
         }
 
 
-class ClusterSupervisor:
+class ClusterSupervisor(StaticTopology):
     """Owns N shard worker processes: spawn, probe, respawn, stop.
 
     The monitor thread wakes every ``probe_interval_s`` (or immediately,
     when the router reports a proxy failure through
-    :meth:`notify_failure`) and walks the shards: a dead process is
-    respawned from its spec — the replacement replays the shard's WAL,
-    so the revived shard answers bit-identically for every acknowledged
-    epoch; a live process that fails enough ``/healthz`` probes to open
-    its breaker is presumed wedged, killed, and respawned the same way.
-    The per-shard breakers are *shared* with the router: proxy failures
-    and probe failures count against the same threshold, and a breaker
-    that opens both stops the router hammering the port and triggers the
-    monitor's replacement path.
+    :meth:`notify_failure`) and walks the shards: a dead primary is
+    replaced by its warm standby if it has one, else respawned from its
+    spec — the replacement replays the shard's WAL, so the revived shard
+    answers bit-identically for every acknowledged epoch; a live primary
+    that fails enough ``/healthz`` probes to open its breaker is presumed
+    wedged, killed, and replaced the same way.  A dead standby is
+    respawned behind its primary.  The per-shard breakers are *shared*
+    with the router: proxy failures and probe failures count against the
+    same threshold, and a breaker that opens both stops the router
+    hammering the port and triggers the monitor's replacement path.
+
+    Each shard is one :class:`_Shard` row of the routing table holding a
+    primary and an optional standby :class:`_Worker`; both kinds go
+    through the same spawn, readiness wait, backoff and stop.
     """
 
     def __init__(
@@ -350,29 +450,15 @@ class ClusterSupervisor:
         *,
         wal_root: str | Path,
         host: str = "127.0.0.1",
-        worker_ports: list[int] | None = None,
-        replicas: int = 64,
         standby_replicas: int = 0,
         cache_bytes: int = 64 * 1024 * 1024,
         max_workers: int = 4,
         query_deadline_ms: float | None = None,
         admission_limit: int | None = None,
-        breaker_failures: int = 3,
-        breaker_reset_s: float = 30.0,
         chaos_ingest_ms: float = 0.0,
         trace: bool = False,
         probe_interval_s: float = 0.5,
-        probe_timeout_s: float = 2.0,
-        probe_failures: int = 2,
         probe_reset_s: float = 2.0,
-        ready_timeout_s: float = 60.0,
-        max_respawns: int = 20,
-        retry_after_hint_s: float = 3.0,
-        respawn_backoff_base_s: float = 0.5,
-        respawn_backoff_cap_s: float = 30.0,
-        backoff_stability_s: float = 5.0,
-        backoff_seed: int = 0,
-        follow_poll_s: float = 0.05,
         robustness_file: str | None = None,
         verbose: bool = False,
     ) -> None:
@@ -382,128 +468,81 @@ class ClusterSupervisor:
             raise ValueError(
                 f"standby_replicas must be 0 or 1, got {standby_replicas}"
             )
-        if worker_ports is not None and len(worker_ports) != n_shards:
-            raise ValueError(
-                f"worker_ports has {len(worker_ports)} entries "
-                f"for {n_shards} shards"
-            )
         # spawn, not fork: the supervisor runs threads (monitor, router
         # handlers) and a forked child inheriting their locked locks
         # mid-operation can deadlock before it ever reaches exec.
         self._ctx = multiprocessing.get_context("spawn")
-        self.ring = HashRing(range(n_shards), replicas=replicas)
-        self.ring_epoch = 0
         self.standby_replicas = standby_replicas
         self.probe_interval_s = probe_interval_s
-        self.probe_timeout_s = probe_timeout_s
-        self.ready_timeout_s = ready_timeout_s
-        self.max_respawns = max_respawns
-        self.retry_after_hint_s = retry_after_hint_s
-        self.follow_poll_s = follow_poll_s
-        self.robustness_file = resolve_robustness_file(robustness_file)
+        self.probe_reset_s = probe_reset_s
         self.verbose = verbose
         self._wal_root = Path(wal_root)
-        self._host = host
-        self._spec_defaults = dict(
+        self._template = WorkerSpec(
+            shard=0,
+            host=host,
+            port=0,
+            wal_dir="",
             cache_bytes=cache_bytes,
             max_workers=max_workers,
             query_deadline_ms=query_deadline_ms,
             admission_limit=admission_limit,
-            breaker_failures=breaker_failures,
-            breaker_reset_s=breaker_reset_s,
             chaos_ingest_ms=chaos_ingest_ms,
             trace=trace,
-            robustness_file=self.robustness_file,
+            robustness_file=resolve_robustness_file(robustness_file),
             verbose=verbose,
         )
-        self._probe_failures = probe_failures
-        self._probe_reset_s = probe_reset_s
-        self._backoff_base_s = respawn_backoff_base_s
-        self._backoff_cap_s = respawn_backoff_cap_s
-        self.backoff_stability_s = backoff_stability_s
-        self._backoff_seed = backoff_seed
-        self.specs: dict[int, WorkerSpec] = {}
-        for shard in range(n_shards):
-            port = (
-                worker_ports[shard]
-                if worker_ports is not None
-                else _free_port(host)
-            )
-            self.specs[shard] = self._make_spec(
-                shard, port, str(self._wal_root / f"shard-{shard}")
-            )
-        self._procs: dict[int, multiprocessing.process.BaseProcess] = {}
-        self._breakers: dict[int, CircuitBreaker] = {}
-        self._backoffs: dict[int, Backoff] = {}
-        self._respawned_at: dict[int, float] = {}
-        self.respawns: dict[int, int] = {}
-        for shard in self.specs:
-            self._init_shard_state(shard)
-        # Standby bookkeeping: spec + proc per shard, and a generation
-        # counter so each standby incarnation gets a fresh WAL directory
-        # (a promoted standby keeps its own; its replacement must not
-        # inherit it).
-        self._standby_specs: dict[int, WorkerSpec] = {}
-        self._standby_procs: dict[int, multiprocessing.process.BaseProcess] = {}
-        self._standby_backoffs: dict[int, Backoff] = {}
-        self._standby_generation: dict[int, int] = {}
-        self._standby_spawned_at: dict[int, float] = {}
-        self.promotions: dict[int, int] = {shard: 0 for shard in self.specs}
+        # The routing table's state, set directly: its rows are worker
+        # slots, not the fixed addresses StaticTopology's constructor takes.
+        self.ring = HashRing(range(n_shards), replicas=RING_REPLICAS)
+        self.ring_epoch = 0
+        self.retry_after_hint_s = RETRY_AFTER_HINT_S
+        self.shards: dict[int, _Shard] = {
+            shard: self._new_shard(shard) for shard in range(n_shards)
+        }
         # Online-rebalance state: one resize at a time; while one is in
         # flight, _pending_ring drives dual-writes (router asks
         # dual_target per key) and _rebalance is what /cluster reports.
         self._resize_lock = threading.Lock()
         self._pending_ring: HashRing | None = None
         self._rebalance: dict | None = None
+        # Orders a spawn against a stop: a retired slot is never refilled.
+        self._spawn_lock = threading.Lock()
         self._stop = threading.Event()
         self._wake = threading.Event()
         self._monitor: threading.Thread | None = None
 
-    def _make_spec(
-        self,
-        shard: int,
-        port: int,
-        wal_dir: str,
-        *,
-        follow: tuple[str, int, str] | None = None,
-    ) -> WorkerSpec:
-        return WorkerSpec(
+    @property
+    def specs(self) -> dict[int, WorkerSpec]:
+        """Each shard's primary spec: its address and WAL directory."""
+        return {shard: row.primary.spec for shard, row in dict(self.shards).items()}
+
+    def _spec(self, shard: int, wal_name: str, follow=None) -> WorkerSpec:
+        return dataclasses.replace(
+            self._template,
             shard=shard,
-            host=self._host,
-            port=port,
-            wal_dir=wal_dir,
-            ring_epoch=self.ring_epoch,
+            port=_free_port(self._template.host),
+            wal_dir=str(self._wal_root / wal_name),
             follow=follow,
-            follow_poll_s=self.follow_poll_s,
-            **self._spec_defaults,
         )
 
-    def _init_shard_state(self, shard: int) -> None:
-        self._breakers[shard] = CircuitBreaker(
-            self._probe_failures, self._probe_reset_s
+    def _new_shard(self, shard: int) -> _Shard:
+        return _Shard(
+            primary=_Worker(self._spec(shard, f"shard-{shard}"), _backoff(shard)),
+            breaker=CircuitBreaker(PROBE_FAILURES, self.probe_reset_s),
         )
-        self._backoffs[shard] = Backoff(
-            self._backoff_base_s,
-            self._backoff_cap_s,
-            seed=self._backoff_seed + shard,
-        )
-        self.respawns[shard] = 0
 
     # ---------------------------------------------------------- lifecycle
 
     def start(self) -> "ClusterSupervisor":
         """Spawn every worker, wait for readiness, start the monitor."""
-        for shard in self.specs:
-            self._procs[shard] = self._spawn(shard)
-        deadline = time.monotonic() + self.ready_timeout_s
-        for shard in self.specs:
-            self._wait_ready(shard, deadline)
+        rows = list(self.shards.values())
+        for row in rows:
+            self._spawn(row.primary)
+        self._wait_ready([row.primary for row in rows])
         if self.standby_replicas:
-            for shard in list(self.specs):
-                self._spawn_standby(shard)
-            deadline = time.monotonic() + self.ready_timeout_s
-            for shard in list(self._standby_specs):
-                self._wait_standby_ready(shard, deadline)
+            for row in rows:
+                self._spawn_standby(row)
+            self._wait_ready([row.standby for row in rows])
         self._monitor = threading.Thread(
             target=self._monitor_loop,
             daemon=True,
@@ -518,7 +557,77 @@ class ClusterSupervisor:
         self._wake.set()
         if self._monitor is not None:
             self._monitor.join(timeout=10)
-        procs = list(self._procs.values()) + list(self._standby_procs.values())
+        self._halt(
+            [worker for row in dict(self.shards).values() for worker in row.workers()]
+        )
+
+    def __enter__(self) -> "ClusterSupervisor":
+        return self.start()
+
+    def __exit__(self, *exc) -> None:
+        self.stop()
+
+    def _spawn(self, worker: _Worker) -> None:
+        """Start a process in ``worker``'s slot from its spec."""
+        # Respawns inherit the *current* ring epoch, not the boot one —
+        # a worker reborn mid-rebalance must come up already fenced.
+        worker.spec = dataclasses.replace(worker.spec, ring_epoch=self.ring_epoch)
+        role = "-standby" if worker.spec.follow else ""
+        with self._spawn_lock:
+            if worker.stopped:
+                return
+            worker.proc = self._ctx.Process(
+                target=_worker_main,
+                args=(worker.spec,),
+                name=f"repro-shard-{worker.spec.shard}{role}",
+                daemon=True,
+            )
+            worker.proc.start()
+            worker.started_at = time.monotonic()
+
+    def _spawn_standby(self, row: _Shard) -> None:
+        """Start a fresh warm standby tailing ``row``'s primary.
+
+        Every incarnation gets a new port and WAL directory: a promoted
+        standby keeps its own, and its replacement must not inherit it.
+        """
+        primary = row.primary.spec
+        row.generation += 1
+        spec = self._spec(
+            primary.shard,
+            f"shard-{primary.shard}-standby-g{row.generation}",
+            follow=(primary.host, primary.port, primary.wal_dir),
+        )
+        if row.standby is None:
+            row.standby = _Worker(spec, _backoff(10_000 + primary.shard))
+        else:
+            row.standby.spec = spec
+        self._spawn(row.standby)
+
+    def _wait_ready(self, workers: list[_Worker]) -> None:
+        """Wait until every worker answers ``/healthz``, under one deadline."""
+        deadline = time.monotonic() + READY_TIMEOUT_S
+        for worker in workers:
+            while not self._probe(worker):
+                proc = worker.proc
+                if proc is not None and proc.exitcode is not None:
+                    raise RuntimeError(
+                        f"{worker.label} died during startup "
+                        f"(exit code {proc.exitcode})"
+                    )
+                if time.monotonic() > deadline:
+                    raise TimeoutError(
+                        f"{worker.label} not ready on {worker.spec.host}:"
+                        f"{worker.spec.port} within {READY_TIMEOUT_S}s"
+                    )
+                time.sleep(0.05)
+
+    def _halt(self, workers: list[_Worker]) -> None:
+        """Stop workers for good: terminate, join, kill what lingers."""
+        with self._spawn_lock:
+            for worker in workers:
+                worker.stopped = True
+        procs = [worker.proc for worker in workers if worker.proc is not None]
         for proc in procs:
             if proc.is_alive():
                 proc.terminate()
@@ -528,276 +637,158 @@ class ClusterSupervisor:
                 proc.kill()
                 proc.join(timeout=5)
 
-    def __enter__(self) -> "ClusterSupervisor":
-        return self.start()
+    # ---------------------------------------------------------- monitoring
 
-    def __exit__(self, *exc) -> None:
-        self.stop()
+    def _probe(self, worker: _Worker) -> bool:
+        try:
+            status, _, _ = http_request(
+                worker.spec.host,
+                worker.spec.port,
+                "GET",
+                "/healthz",
+                timeout_s=PROBE_TIMEOUT_S,
+            )
+        except (OSError, HTTPException):
+            return False
+        return status == 200
 
-    def _spawn(self, shard: int):
-        # Respawns inherit the *current* ring epoch, not the boot one —
-        # a worker reborn mid-rebalance must come up already fenced.
-        self.specs[shard] = dataclasses.replace(
-            self.specs[shard], ring_epoch=self.ring_epoch
-        )
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(self.specs[shard],),
-            name=f"repro-shard-{shard}",
-            daemon=True,
-        )
-        proc.start()
-        return proc
+    def _monitor_loop(self) -> None:
+        while not self._stop.is_set():
+            self._wake.wait(self.probe_interval_s)
+            self._wake.clear()
+            for shard in list(self.shards):
+                if self._stop.is_set():
+                    return
+                row = self.shards.get(shard)
+                if row is None:
+                    continue  # retired mid-iteration by a resize
+                self._check_primary(row)
+                standby = row.standby
+                if standby is None:
+                    continue
+                if standby.alive():
+                    self._settle(standby)
+                elif standby.proc is not None:
+                    self._restart(row, standby, f"exit {standby.proc.exitcode}")
 
-    def _wait_ready(self, shard: int, deadline: float) -> None:
-        spec = self.specs[shard]
-        while True:
-            proc = self._procs[shard]
-            if not proc.is_alive() and proc.exitcode is not None:
-                raise RuntimeError(
-                    f"shard {shard} died during startup "
-                    f"(exit code {proc.exitcode})"
-                )
-            if self._probe(shard):
+    def _check_primary(self, row: _Shard) -> None:
+        proc = row.primary.proc
+        if not proc.is_alive():
+            reason = f"process exited ({proc.exitcode})"
+        elif not row.breaker.allow():
+            return  # open, not yet probe time: skip this tick
+        elif self._probe(row.primary):
+            row.breaker.record_success()
+            self._settle(row.primary)
+            return
+        else:
+            row.breaker.record_failure()
+            if row.breaker.state != CircuitBreaker.OPEN:
                 return
-            if time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"shard {shard} not ready on "
-                    f"{spec.host}:{spec.port} within {self.ready_timeout_s}s"
-                )
-            time.sleep(0.05)
+            # Alive but failing probes past the threshold: wedged.
+            # Replace it like a death.
+            proc.kill()
+            proc.join(timeout=10)
+            reason = "unresponsive (breaker open)"
+        if not self._try_promote(row, reason=reason):
+            self._respawn(row, reason=reason)
 
-    # ----------------------------------------------------------- standbys
+    def _settle(self, worker: _Worker) -> None:
+        """Reset a worker's respawn backoff once it has stayed up a while.
 
-    def _spawn_standby(self, shard: int) -> None:
-        """Start a fresh warm standby tailing ``shard``'s primary."""
-        primary = self.specs[shard]
-        generation = self._standby_generation.get(shard, 0) + 1
-        self._standby_generation[shard] = generation
-        spec = self._make_spec(
-            shard,
-            _free_port(self._host),
-            str(self._wal_root / f"shard-{shard}-standby-g{generation}"),
-            follow=(primary.host, primary.port, primary.wal_dir),
-        )
-        self._standby_specs[shard] = spec
-        self._standby_spawned_at[shard] = time.monotonic()
-        self._standby_backoffs.setdefault(
-            shard,
-            Backoff(
-                self._backoff_base_s,
-                self._backoff_cap_s,
-                seed=self._backoff_seed + 10_000 + shard,
-            ),
-        )
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(spec,),
-            name=f"repro-shard-{shard}-standby",
-            daemon=True,
-        )
-        proc.start()
-        self._standby_procs[shard] = proc
+        Only a true crash loop waits the exponential schedule out.
+        """
+        if (
+            worker.backoff.attempts
+            and time.monotonic() - worker.started_at >= BACKOFF_STABILITY_S
+        ):
+            worker.backoff.reset()
 
-    def _wait_standby_ready(self, shard: int, deadline: float) -> None:
-        spec = self._standby_specs[shard]
-        while True:
-            if self._probe_addr(spec.host, spec.port):
-                return
-            proc = self._standby_procs[shard]
-            if not proc.is_alive() and proc.exitcode is not None:
-                raise RuntimeError(
-                    f"standby for shard {shard} died during startup "
-                    f"(exit code {proc.exitcode})"
-                )
-            if time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"standby for shard {shard} not ready on "
-                    f"{spec.host}:{spec.port} within {self.ready_timeout_s}s"
-                )
-            time.sleep(0.05)
+    def _restart(self, row: _Shard, worker: _Worker, reason: str) -> bool:
+        """Respawn a dead worker, unless its armed backoff gates this tick."""
+        if self._stop.is_set() or not worker.backoff.ready():
+            return False
+        # Arm the delay before the *next* attempt now; _settle disarms
+        # it once the replacement has stayed up.
+        worker.backoff.record_failure()
+        if self.verbose:
+            print(f"[cluster] respawning {worker.label} ({reason})", flush=True)
+        if worker is row.standby:
+            self._spawn_standby(row)
+        else:
+            self._spawn(worker)
+        return True
 
-    def _try_promote(self, shard: int, *, reason: str) -> bool:
-        """Promote ``shard``'s standby to primary; ``False`` → cold respawn.
+    def _respawn(self, row: _Shard, *, reason: str) -> None:
+        """Cold-respawn a dead primary; its replacement replays the WAL."""
+        if row.respawns >= MAX_RESPAWNS:
+            return  # crash loop: leave it down, the router serves 503s
+        attempt = f"{reason}; attempt {row.respawns + 1}"
+        if not self._restart(row, row.primary, attempt):
+            return
+        row.respawns += 1
+        try:
+            self._wait_ready([row.primary])
+        except (RuntimeError, TimeoutError):
+            # Died again before becoming ready; the next tick retries.
+            row.breaker.record_failure()
+            return
+        row.breaker.record_success()
+
+    def _try_promote(self, row: _Shard, *, reason: str) -> bool:
+        """Promote ``row``'s standby to primary; ``False`` → cold respawn.
 
         On success the standby's address *becomes* the shard's address
         (the router routes by spec, not pid), its final catch-up drains
         straight from the dead primary's WAL file, and a replacement
         standby is spawned behind the new primary.
         """
-        spec = self._standby_specs.get(shard)
-        proc = self._standby_procs.get(shard)
-        if spec is None or proc is None or not proc.is_alive():
+        standby = row.standby
+        if standby is None or not standby.alive():
             return False
-        old_primary = self.specs[shard]
         try:
             status, body = _control(
-                spec,
+                standby.spec,
                 "promote",
-                {"primary_wal_dir": old_primary.wal_dir},
-                max(self.probe_timeout_s * 5, 10.0),
+                {"primary_wal_dir": row.primary.spec.wal_dir},
+                10.0,
             )
         except (OSError, HTTPException, ValueError):
             return False
         if status != 200:
             if self.verbose:
                 print(
-                    f"[cluster] standby for shard {shard} refused promotion "
+                    f"[cluster] {standby.label} refused promotion "
                     f"({status}: {body.get('error')}); falling back to respawn",
                     flush=True,
                 )
             return False
-        self.promotions[shard] += 1
-        del self._standby_specs[shard]
-        del self._standby_procs[shard]
+        row.promotions += 1
         # The promoted worker sheds its follow role and is the shard now.
-        self.specs[shard] = dataclasses.replace(
-            spec, follow=None, ring_epoch=self.ring_epoch
+        row.primary.spec = dataclasses.replace(
+            standby.spec, follow=None, ring_epoch=self.ring_epoch
         )
-        self._procs[shard] = proc
-        self._breakers[shard].record_success()
-        self._backoffs[shard].reset()
+        row.primary.proc, standby.proc = standby.proc, None
+        row.primary.backoff.reset()
+        row.breaker.record_success()
         if self.verbose:
             print(
-                f"[cluster] promoted standby to shard {shard} ({reason}; "
-                f"caught up {body.get('drained', 0)} record(s) from the "
-                "primary's WAL file)",
+                f"[cluster] promoted standby to shard {row.primary.spec.shard} "
+                f"({reason}; caught up {body.get('drained', 0)} record(s) "
+                "from the primary's WAL file)",
                 flush=True,
             )
         if self.standby_replicas and not self._stop.is_set():
             # New warm standby behind the promoted primary; the monitor
-            # confirms its readiness on later ticks.
-            self._spawn_standby(shard)
+            # watches it from the next tick.
+            self._spawn_standby(row)
         return True
 
-    # ---------------------------------------------------------- monitoring
-
-    def _probe_addr(self, host: str, port: int) -> bool:
-        try:
-            status, _, _ = http_request(
-                host, port, "GET", "/healthz", timeout_s=self.probe_timeout_s
-            )
-        except (OSError, HTTPException):
-            return False
-        return status == 200
-
-    def _probe(self, shard: int) -> bool:
-        spec = self.specs[shard]
-        return self._probe_addr(spec.host, spec.port)
-
-    def _monitor_loop(self) -> None:
-        while not self._stop.is_set():
-            self._wake.wait(self.probe_interval_s)
-            self._wake.clear()
-            if self._stop.is_set():
-                return
-            for shard in list(self.specs):
-                if self._stop.is_set():
-                    return
-                proc = self._procs.get(shard)
-                if proc is None:
-                    continue  # retired mid-iteration by a resize
-                if not proc.is_alive():
-                    reason = f"process exited ({proc.exitcode})"
-                    if not self._try_promote(shard, reason=reason):
-                        self._respawn(shard, reason=reason)
-                    continue
-                breaker = self._breakers[shard]
-                if not breaker.allow():
-                    continue  # open, not yet probe time: skip this tick
-                if self._probe(shard):
-                    breaker.record_success()
-                    self._maybe_reset_backoff(shard)
-                else:
-                    breaker.record_failure()
-                    if breaker.state == CircuitBreaker.OPEN:
-                        # Alive but failing probes past the threshold:
-                        # wedged.  Replace it like a death.
-                        proc.kill()
-                        proc.join(timeout=10)
-                        reason = "unresponsive (breaker open)"
-                        if not self._try_promote(shard, reason=reason):
-                            self._respawn(shard, reason=reason)
-            for shard in list(self._standby_specs):
-                if self._stop.is_set():
-                    return
-                proc = self._standby_procs.get(shard)
-                if proc is None:
-                    continue
-                backoff = self._standby_backoffs[shard]
-                if proc.is_alive():
-                    spawned_at = self._standby_spawned_at.get(shard, 0.0)
-                    if (
-                        backoff.attempts
-                        and time.monotonic() - spawned_at
-                        >= self.backoff_stability_s
-                    ):
-                        backoff.reset()
-                elif backoff.ready():
-                    backoff.record_failure()
-                    if self.verbose:
-                        print(
-                            f"[cluster] respawning standby for shard "
-                            f"{shard} (exit {proc.exitcode})",
-                            flush=True,
-                        )
-                    self._spawn_standby(shard)
-
-    def _maybe_reset_backoff(self, shard: int) -> None:
-        backoff = self._backoffs[shard]
-        if backoff.attempts == 0:
-            return
-        respawned_at = self._respawned_at.get(shard)
-        if (
-            respawned_at is None
-            or time.monotonic() - respawned_at >= self.backoff_stability_s
-        ):
-            backoff.reset()
-
-    def _respawn(self, shard: int, *, reason: str) -> None:
-        if self._stop.is_set():
-            return
-        if self.respawns[shard] >= self.max_respawns:
-            return  # crash loop: leave it down, the router serves 503s
-        backoff = self._backoffs[shard]
-        if not backoff.ready():
-            return  # crash-looping: the armed delay gates this tick
-        self.respawns[shard] += 1
-        # Arm the delay before the *next* attempt now; a healthy worker
-        # resets it after backoff_stability_s of good probes, so only a
-        # true crash loop ever waits the exponential schedule out.
-        backoff.record_failure()
-        self._respawned_at[shard] = time.monotonic()
-        if self.verbose:
-            print(
-                f"[cluster] respawning shard {shard} "
-                f"({reason}; attempt {self.respawns[shard]})",
-                flush=True,
-            )
-        self._procs[shard] = self._spawn(shard)
-        try:
-            self._wait_ready(shard, time.monotonic() + self.ready_timeout_s)
-        except (RuntimeError, TimeoutError):
-            # Died again before becoming ready; the next tick retries.
-            self._breakers[shard].record_failure()
-            return
-        self._breakers[shard].record_success()
-
     # ------------------------------------------------- topology interface
-
-    def address(self, shard) -> tuple[str, int]:
-        spec = self.specs[shard]
-        return (spec.host, spec.port)
-
-    def breaker(self, shard) -> CircuitBreaker:
-        return self._breakers[shard]
 
     def notify_failure(self, shard) -> None:
         """Router hint: a proxy to ``shard`` just failed — probe now."""
         self._wake.set()
-
-    def retry_after_s(self, shard) -> float:
-        return self.retry_after_hint_s
 
     def dual_target(self, key: str):
         """The shard a write must *also* land on during a rebalance.
@@ -817,44 +808,12 @@ class ClusterSupervisor:
         return dest
 
     def describe(self) -> dict:
-        shards = {}
-        for shard, spec in self.specs.items():
-            proc = self._procs.get(shard)
-            entry = {
-                "address": [spec.host, spec.port],
-                "wal_dir": spec.wal_dir,
-                "pid": proc.pid if proc is not None else None,
-                "alive": proc.is_alive() if proc is not None else False,
-                "breaker": self._breakers[shard].stats(),
-                "respawns": self.respawns[shard],
-                "respawn_backoff_s": round(
-                    self._backoffs[shard].remaining_s(), 3
-                ),
-                "promotions": self.promotions.get(shard, 0),
-            }
-            standby_spec = self._standby_specs.get(shard)
-            if standby_spec is not None:
-                standby_proc = self._standby_procs.get(shard)
-                entry["standby"] = {
-                    "address": [standby_spec.host, standby_spec.port],
-                    "wal_dir": standby_spec.wal_dir,
-                    "pid": standby_proc.pid if standby_proc is not None else None,
-                    "alive": (
-                        standby_proc.is_alive()
-                        if standby_proc is not None
-                        else False
-                    ),
-                    "generation": self._standby_generation.get(shard, 0),
-                }
-            shards[str(shard)] = entry
         rebalance = self._rebalance
         return {
-            "replicas": self.ring.replicas,
+            **super().describe(),
             "supervised": True,
-            "ring_epoch": self.ring_epoch,
             "standby_replicas": self.standby_replicas,
             "rebalance": dict(rebalance) if rebalance is not None else None,
-            "shards": shards,
         }
 
     # ------------------------------------------------------------ rebalance
@@ -883,6 +842,13 @@ class ClusterSupervisor:
            it to every worker (stale-epoch writes now 409), close the
            dual-write window.
         6. **Shrink**: terminate shards no longer on the ring.
+
+        A failure before the flip retires every shard this resize
+        spawned, leaves the ring as it was, and raises an
+        :class:`ApiError` naming the phase: 503 + ``Retry-After`` when a
+        worker could not be spawned or made ready, 504 when a run could
+        not be shipped in time, 409 when its new owner holds a diverged
+        copy.
         """
         if n_target <= 0:
             raise ValueError(f"shard count must be positive, got {n_target}")
@@ -896,7 +862,7 @@ class ClusterSupervisor:
             self._resize_lock.release()
 
     def _resize_locked(self, n_target: int) -> dict:
-        current = sorted(self.specs)
+        current = sorted(self.shards)
         n_current = len(current)
         if n_target == n_current:
             return {
@@ -906,7 +872,7 @@ class ClusterSupervisor:
                 "moved": 0,
                 "runs_moved": [],
             }
-        added = [s for s in range(n_target) if s not in self.specs]
+        added = [s for s in range(n_target) if s not in self.shards]
         removed = [s for s in current if s >= n_target]
         self._rebalance = {
             "phase": "spawning",
@@ -915,62 +881,41 @@ class ClusterSupervisor:
             "moved": 0,
             "total": None,
         }
-        for shard in added:
-            self.specs[shard] = self._make_spec(
-                shard,
-                _free_port(self._host),
-                str(self._wal_root / f"shard-{shard}"),
-            )
-            self._init_shard_state(shard)
-            self.promotions.setdefault(shard, 0)
-            self._procs[shard] = self._spawn(shard)
-        deadline = time.monotonic() + self.ready_timeout_s
-        for shard in added:
-            self._wait_ready(shard, deadline)
-        if self.standby_replicas:
-            for shard in added:
-                self._spawn_standby(shard)
-        # Open the dual-write window *before* scanning for keys: a run
-        # registered concurrently is then either in the scan (and gets
-        # migrated) or was dual-written to its future owner already —
-        # opening after the scan would leave a gap where it is neither.
-        self._pending_ring = HashRing(
-            range(n_target), replicas=self.ring.replicas
-        )
-        keys: list[str] = []
-        for shard in current:
-            entries, _, _ = scan_wal(
-                Path(self.specs[shard].wal_dir) / WriteAheadLog.FILENAME
-            )
-            keys.extend(
-                str(entry.payload["run_id"])
-                for entry in entries
-                if entry.kind == REGISTER and entry.payload.get("run_id")
-            )
-        plan = self.ring.plan_resize(range(n_target), keys)
-        # Only ship runs whose *current ring owner* is the scan source —
-        # a run that migrated in an earlier resize still sits in its old
-        # owner's WAL file, but the ring no longer maps it there.
-        self._rebalance.update(phase="migrating", total=len(plan.moves))
+        # The added shards join the table only once they answer: the
+        # monitor must not probe a booting worker, open its breaker and
+        # kill it mid-start.
+        rows = {shard: self._new_shard(shard) for shard in added}
         try:
-            for key in sorted(plan.moves):
-                source, dest = plan.moves[key]
-                self._migrate_run(key, source, dest)
-                self._rebalance["moved"] += 1
-            # Flip order matters: new ring first (reads route to owners
-            # that now hold the data), then the epoch fence, and only
-            # then the dual-write window closes — a write routed by the
-            # old ring in flight during the flip either lands before the
-            # fence (dual-written, so both owners have it) or answers a
-            # typed 409 the router retries against the fresh ring.
-            self.ring = plan.new_ring
-            self.ring_epoch += 1
-            self._broadcast_epoch()
-        finally:
+            plan = self._grow_and_migrate(current, rows, n_target)
+        except (OSError, RuntimeError, ApiError) as exc:  # TimeoutError is an OSError
+            # Undo before the flip: close the dual-write window first so
+            # no write is copied to a shard that is going away.
             self._pending_ring = None
+            for shard, row in rows.items():
+                self.shards.pop(shard, None)
+                self._halt(row.workers())
+            if isinstance(exc, ApiError):
+                raise
+            phase = self._rebalance["phase"]
+            raise ApiError(
+                503,
+                f"resize to {n_target} shards failed while {phase}: {exc}",
+                headers={"Retry-After": str(int(RETRY_AFTER_HINT_S))},
+                fields={"phase": phase, "shards": added},
+            ) from exc
+        # Flip order matters: new ring first (reads route to owners that
+        # now hold the data), then the epoch fence, and only then the
+        # dual-write window closes — a write routed by the old ring in
+        # flight during the flip either lands before the fence
+        # (dual-written, so both owners have it) or answers a typed 409
+        # the router retries against the fresh ring.
+        self.ring = plan.new_ring
+        self.ring_epoch += 1
+        self._broadcast_epoch()
+        self._pending_ring = None
         self._rebalance["phase"] = "retiring"
         for shard in removed:
-            self._retire(shard)
+            self._halt(self.shards.pop(shard).workers())
         if self.verbose:
             print(
                 f"[cluster] resized {n_current} -> {n_target} shards "
@@ -985,6 +930,46 @@ class ClusterSupervisor:
             "runs_moved": sorted(plan.moves),
         }
 
+    def _grow_and_migrate(
+        self, current: list[int], rows: dict[int, _Shard], n_target: int
+    ):
+        """Steps 1–4 of :meth:`resize`; returns the :class:`ResizePlan`."""
+        for row in rows.values():
+            self._spawn(row.primary)
+        self._wait_ready([row.primary for row in rows.values()])
+        self.shards.update(rows)
+        if self.standby_replicas:
+            for row in rows.values():
+                self._spawn_standby(row)
+        # Open the dual-write window *before* scanning for keys: a run
+        # registered concurrently is then either in the scan (and gets
+        # migrated) or was dual-written to its future owner already —
+        # opening after the scan would leave a gap where it is neither.
+        self._pending_ring = HashRing(
+            range(n_target), replicas=RING_REPLICAS
+        )
+        keys: list[str] = []
+        for shard in current:
+            entries, _, _ = scan_wal(
+                Path(self.shards[shard].primary.spec.wal_dir)
+                / WriteAheadLog.FILENAME
+            )
+            keys.extend(
+                str(entry.payload["run_id"])
+                for entry in entries
+                if entry.kind == REGISTER and entry.payload.get("run_id")
+            )
+        # Only ship runs whose *current ring owner* is the scan source —
+        # a run that migrated in an earlier resize still sits in its old
+        # owner's WAL file, but the ring no longer maps it there.
+        plan = self.ring.plan_resize(range(n_target), keys)
+        self._rebalance.update(phase="migrating", total=len(plan.moves))
+        for key in sorted(plan.moves):
+            source, dest = plan.moves[key]
+            self._migrate_run(key, source, dest)
+            self._rebalance["moved"] += 1
+        return plan
+
     def _migrate_run(self, run_id: str, source: int, dest: int) -> None:
         """Ship one run's WAL subset from ``source``'s file to ``dest``.
 
@@ -993,11 +978,19 @@ class ClusterSupervisor:
         while the monitor thread recovers whichever side died (the
         applier's idempotence makes re-shipping free).
         """
-        deadline = time.monotonic() + self.ready_timeout_s
+        fields = {
+            "phase": "migrating",
+            "run_id": run_id,
+            "source": source,
+            "dest": dest,
+        }
+        deadline = time.monotonic() + READY_TIMEOUT_S
         attempt = 0
-        last_error: str = "never attempted"
         while True:
-            source_wal = Path(self.specs[source].wal_dir) / WriteAheadLog.FILENAME
+            source_wal = (
+                Path(self.shards[source].primary.spec.wal_dir)
+                / WriteAheadLog.FILENAME
+            )
             entries, _, _ = scan_wal(source_wal)
             frames = [
                 entry.frame()
@@ -1006,10 +999,10 @@ class ClusterSupervisor:
             ]
             try:
                 status, body = _control(
-                    self.specs[dest],
+                    self.shards[dest].primary.spec,
                     "adopt",
                     {"frames": frames},
-                    self.ready_timeout_s,
+                    READY_TIMEOUT_S,
                 )
             except (OSError, HTTPException, ValueError) as exc:
                 status, body = 0, {"error": f"{type(exc).__name__}: {exc}"}
@@ -1017,53 +1010,36 @@ class ClusterSupervisor:
                 return
             if status == 409:
                 # Digest divergence: retrying cannot fix it.
-                raise RuntimeError(
-                    f"shard {dest} rejected run {run_id!r}: {body.get('error')}"
+                raise ApiError(
+                    409,
+                    f"shard {dest} rejected run {run_id!r}: {body.get('error')}",
+                    fields=fields,
                 )
-            last_error = f"{status}: {body.get('error')}"
             attempt += 1
             if time.monotonic() > deadline:
-                raise TimeoutError(
+                raise ApiError(
+                    504,
                     f"could not ship run {run_id!r} from shard {source} to "
-                    f"shard {dest} within {self.ready_timeout_s}s "
-                    f"(last error {last_error})"
+                    f"shard {dest} within {READY_TIMEOUT_S}s "
+                    f"(last error {status}: {body.get('error')})",
+                    fields=fields,
                 )
             self._wake.set()  # nudge the monitor at whichever side died
             time.sleep(min(2.0, 0.2 * attempt))
 
     def _broadcast_epoch(self) -> None:
-        for shard, spec in list(self.specs.items()):
+        for row in list(self.shards.values()):
             try:
                 _control(
-                    spec, "epoch", {"ring_epoch": self.ring_epoch},
-                    self.probe_timeout_s,
+                    row.primary.spec,
+                    "epoch",
+                    {"ring_epoch": self.ring_epoch},
+                    PROBE_TIMEOUT_S,
                 )
             except (OSError, HTTPException, ValueError):
                 # Unreachable now → it is either dead (a respawn inherits
                 # the epoch through its spec) or about to be retired.
                 pass
-
-    def _retire(self, shard: int) -> None:
-        """Stop a shard removed from the ring (its WAL dir is left on disk)."""
-        standby = self._standby_procs.pop(shard, None)
-        self._standby_specs.pop(shard, None)
-        self._standby_backoffs.pop(shard, None)
-        self._standby_spawned_at.pop(shard, None)
-        proc = self._procs.pop(shard, None)
-        self.specs.pop(shard, None)
-        self._breakers.pop(shard, None)
-        self._backoffs.pop(shard, None)
-        self.respawns.pop(shard, None)
-        self._respawned_at.pop(shard, None)
-        for victim in (proc, standby):
-            if victim is not None and victim.is_alive():
-                victim.terminate()
-        for victim in (proc, standby):
-            if victim is not None:
-                victim.join(timeout=10)
-                if victim.is_alive():  # pragma: no cover - backstop
-                    victim.kill()
-                    victim.join(timeout=5)
 
 
 # ---------------------------------------------------------------------- router

@@ -159,5 +159,5 @@ def test_sigkill_mid_ingest_replays_bit_identical(vfl_log, tmp_path):
         router.shutdown()
         router.server_close()
         supervisor.stop()
-    for proc in supervisor._procs.values():
-        assert not proc.is_alive()
+    for entry in supervisor.describe()["shards"].values():
+        assert not entry["alive"]

@@ -8,16 +8,23 @@ aggregated ``/runs`` view never shows a migrated run twice, and every
 run's contributions stay ``np.array_equal`` to the batch estimate
 through a grow *and* the shrink back.
 
-The second test SIGKILLs the destination worker mid-migration and
+The SIGKILL test kills the destination worker mid-migration and
 expects the resize to complete anyway: ``_migrate_run`` re-scans the
 source WAL file and re-ships through ``/control/adopt`` (idempotent, so
 a partially-adopted run is free to re-deliver) while the monitor thread
 respawns the victim.
+
+The last two tests fail a grow before its flip — an added shard that
+cannot start, then a new owner holding a diverged copy of a moving run.
+Each resize answers a typed error naming the phase (503 + Retry-After,
+409), undoes its spawns, and leaves ``/cluster`` listing exactly the
+ring's shards.
 """
 
 import json
 import os
 import signal
+import socket
 import threading
 import time
 import urllib.error
@@ -29,6 +36,10 @@ import pytest
 from repro.core import estimate_vfl_first_order
 from repro.io import save_vfl_training_log
 from repro.serve import ClusterRouter, ClusterSupervisor, HashRing
+from repro.serve import EvaluationService, WriteAheadLog
+from repro.serve import cluster as cluster_module
+from repro.serve.http import register_from_spec
+from repro.vfl.log import VFLTrainingLog
 
 pytestmark = pytest.mark.timeout(300)
 
@@ -286,5 +297,110 @@ def test_sigkill_of_the_destination_mid_migration_still_lands_every_run(
         for run_id in run_ids:
             served = _get(router.port, f"/runs/{run_id}/contributions")
             assert np.array_equal(np.asarray(served["totals"]), want)
+    finally:
+        _teardown(supervisor, router)
+
+
+def test_a_failed_grow_answers_typed_and_undoes_its_spawns(
+    vfl_log, tmp_path, monkeypatch
+):
+    supervisor, router = _cluster(tmp_path, 2)
+    run_ids = [f"vfl-mv-{i}" for i in range(6)]
+    grow_plan = HashRing(range(2)).plan_resize(range(3), run_ids)
+    assert grow_plan.moves
+    want = estimate_vfl_first_order(vfl_log["log"]).totals
+    # The added shard's port is already taken, so its worker dies on
+    # bind and never becomes ready.
+    squatter = socket.socket()
+    squatter.bind(("127.0.0.1", 0))
+    squatter.listen()
+    try:
+        for run_id in run_ids:
+            status, _, _ = _post(
+                router.port,
+                "/runs",
+                {"kind": "vfl", "log_path": vfl_log["path"], "run_id": run_id},
+            )
+            assert status == 201
+
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                cluster_module, "_free_port",
+                lambda host: squatter.getsockname()[1],
+            )
+            status, body, headers = _post(
+                router.port, "/cluster/resize", {"shards": 3}, timeout=180
+            )
+        assert status == 503, body
+        assert body["phase"] == "spawning" and body["shards"] == [2]
+        assert int(headers["Retry-After"]) >= 1
+
+        # The spawn was undone: /cluster lists exactly the ring's shards.
+        info = _get(router.port, "/cluster")
+        assert sorted(info["shards"]) == ["0", "1"]
+        assert sorted(map(str, supervisor.ring.shards)) == ["0", "1"]
+        assert info["ring_epoch"] == 0 and info["rebalance"] is None
+
+        # A retry to the same count grows the ring and moves the runs.
+        status, body, _ = _post(
+            router.port, "/cluster/resize", {"shards": 3}, timeout=180
+        )
+        assert status == 200, body
+        assert body["moved"] == len(grow_plan.moves)
+        assert body["runs_moved"] == sorted(grow_plan.moves)
+        info = _get(router.port, "/cluster")
+        assert sorted(info["shards"]) == ["0", "1", "2"]
+        assert sorted(map(str, supervisor.ring.shards)) == ["0", "1", "2"]
+        for run_id in run_ids:
+            served = _get(router.port, f"/runs/{run_id}/contributions")
+            assert np.array_equal(np.asarray(served["totals"]), want)
+    finally:
+        squatter.close()
+        _teardown(supervisor, router)
+
+
+def test_a_diverged_adopt_answers_409_and_keeps_the_old_ring(vfl_log, tmp_path):
+    full = vfl_log["log"]
+    mover = next(
+        c for c in (f"vfl-dv-{i}" for i in range(60))
+        if HashRing(range(2)).shard_for(c) == 1
+    )
+    # The WAL directory shard 1 will boot from already holds a shorter,
+    # different run under the mover's id: adopting the real one diverges.
+    short_path = tmp_path / "short.npz"
+    save_vfl_training_log(
+        VFLTrainingLog(full.feature_blocks, full.active_parties, full.records[:2]),
+        short_path,
+    )
+    planted = WriteAheadLog(tmp_path / "wals" / "shard-1")
+    with EvaluationService(wal=planted) as service:
+        register_from_spec(
+            service,
+            {"kind": "vfl", "log_path": str(short_path), "run_id": mover},
+        )
+    planted.close()
+
+    supervisor, router = _cluster(tmp_path, 1)
+    try:
+        status, _, _ = _post(
+            router.port,
+            "/runs",
+            {"kind": "vfl", "log_path": vfl_log["path"], "run_id": mover},
+        )
+        assert status == 201
+        status, body, _ = _post(
+            router.port, "/cluster/resize", {"shards": 2}, timeout=180
+        )
+        assert status == 409, body
+        assert body["phase"] == "migrating" and body["run_id"] == mover
+        assert (body["source"], body["dest"]) == (0, 1)
+
+        info = _get(router.port, "/cluster")
+        assert sorted(info["shards"]) == ["0"]
+        assert sorted(map(str, supervisor.ring.shards)) == ["0"]
+        assert info["ring_epoch"] == 0 and info["rebalance"] is None
+        served = _get(router.port, f"/runs/{mover}/contributions")
+        want = estimate_vfl_first_order(full).totals
+        assert np.array_equal(np.asarray(served["totals"]), want)
     finally:
         _teardown(supervisor, router)

@@ -556,3 +556,41 @@ def test_warm_failover_beats_cold_replay_and_stays_bit_identical(
         f"warm failover ({warm_gap:.2f}s) not faster than cold replay "
         f"({cold_gap:.2f}s)"
     )
+
+
+def test_cluster_shard_entries_keep_their_keys(tmp_path):
+    # loadbench reads shards.*.address and shards.*.pid, the cluster
+    # example reads respawns: the /cluster entry keys are a contract.
+    supervisor = ClusterSupervisor(
+        1,
+        wal_root=tmp_path / "wals",
+        standby_replicas=1,
+        probe_interval_s=0.2,
+        probe_reset_s=1.0,
+    )
+    with supervisor:
+        router = ClusterRouter(("127.0.0.1", 0), supervisor)
+        router.serve_background()
+        try:
+            info = _get(router.port, "/cluster")
+        finally:
+            router.shutdown()
+            router.server_close()
+    assert set(info) == {
+        "replicas", "supervised", "ring_epoch", "standby_replicas",
+        "rebalance", "shards",
+    }
+    entry = info["shards"]["0"]
+    assert set(entry) == {
+        "address", "wal_dir", "pid", "alive", "breaker", "respawns",
+        "respawn_backoff_s", "promotions", "standby",
+    }
+    assert set(entry["standby"]) == {
+        "address", "wal_dir", "pid", "alive", "generation",
+    }
+    assert entry["alive"] and entry["standby"]["alive"]
+    assert entry["address"] != entry["standby"]["address"]
+    assert entry["standby"]["generation"] == 1
+    # stop() took down the primary and its standby alike.
+    stopped = supervisor.describe()["shards"]["0"]
+    assert not stopped["alive"] and not stopped["standby"]["alive"]

@@ -752,8 +752,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "crash-recoverable run registry")
     serve.add_argument("--recover", action="store_true",
                        help="rebuild the registry from --wal-dir before "
-                            "serving (replays logs to the exact ingested "
-                            "epoch)")
+                            "serving (pushes the logged rows to the exact "
+                            "ingested epoch)")
     serve.add_argument("--chaos-ingest-ms", type=float, default=0.0,
                        help=argparse.SUPPRESS)  # CI chaos-job test hook
     serve.add_argument("--trace", action="store_true",

@@ -53,6 +53,9 @@ class _StreamingBase:
     """
 
     method: str
+    #: Work counters ``report()`` shows that the rows do not determine.
+    #: The WAL logs each epoch's increments, so a replay restores them.
+    counters: tuple[str, ...] = ()
 
     def __init__(self, participant_ids: Sequence[int]) -> None:
         self.participant_ids = list(participant_ids)
@@ -138,6 +141,28 @@ class _StreamingBase:
         if not self._rows:
             return np.empty((0, self.n_participants))
         return np.vstack([rectified_weights(row) for row in self._rows])
+
+    def counter_values(self) -> dict[str, int]:
+        return {name: getattr(self, name) for name in self.counters}
+
+    def restore(self, row: np.ndarray, increments: dict) -> None:
+        """Push a logged epoch's row and counter increments: no estimator work."""
+        if np.shape(row) != (self.n_participants,):
+            raise ValueError(
+                f"row of shape {np.shape(row)} for {self.n_participants} parties"
+            )
+        steps = {name: int(increments[name]) for name in self.counters}
+        for name, step in steps.items():
+            setattr(self, name, getattr(self, name) + step)
+        self._push(row)
+
+    def adopt(self, other: "_StreamingBase") -> None:
+        """Take over ``other``'s epochs: its rows, counters and profiler."""
+        self.profiler = other.profiler
+        for row in other._rows:
+            self._push(row)
+        for name in self.counters:
+            setattr(self, name, getattr(other, name))
 
     def _push(self, row: np.ndarray) -> np.ndarray:
         self._rows.append(row)

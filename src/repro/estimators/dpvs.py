@@ -46,6 +46,7 @@ class StreamingDPVSEstimator(_StreamingBase):
     """Permutation-sampling Shapley with dynamically pruned participants."""
 
     method = "dpvs-pruning"
+    counters = ("coalition_evaluations", "evaluations_saved")
 
     def __init__(
         self,
@@ -95,9 +96,14 @@ class StreamingDPVSEstimator(_StreamingBase):
             row = np.zeros(n)
             if present.size:
                 row = self._evaluate_round(record, present)
-        pushed = self._push(row)
+        return self._push(row)
+
+    def _push(self, row: np.ndarray) -> np.ndarray:
+        # The pruned set is a function of the rows: re-drawing it on every
+        # push rebuilds it on a WAL replay, not only on a live ingest.
+        super()._push(row)
         self._update_pruned()
-        return pushed
+        return row
 
     # ------------------------------------------------------------ internals
 
@@ -167,8 +173,7 @@ class StreamingDPVSEstimator(_StreamingBase):
             "seed": self.seed,
             "pruned": self.pruned_participants,
             "prune_events": self.prune_events,
-            "coalition_evaluations": self.coalition_evaluations,
-            "evaluations_saved": self.evaluations_saved,
+            **self.counter_values(),
         }
         return report
 

@@ -60,6 +60,12 @@ class StreamingGTGShapley(_StreamingBase):
     """
 
     method = "gtg-shapley"
+    counters = (
+        "permutations_run",
+        "coalition_evaluations",
+        "rounds_truncated",
+        "walks_truncated",
+    )
 
     def __init__(
         self,
@@ -183,13 +189,7 @@ class StreamingGTGShapley(_StreamingBase):
 
     def report(self):
         report = super().report()
-        report.extra["gtg"] = {
-            "seed": self.seed,
-            "permutations_run": self.permutations_run,
-            "coalition_evaluations": self.coalition_evaluations,
-            "rounds_truncated": self.rounds_truncated,
-            "walks_truncated": self.walks_truncated,
-        }
+        report.extra["gtg"] = {"seed": self.seed, **self.counter_values()}
         return report
 
 

@@ -40,75 +40,63 @@ def payload_nbytes(value: Any) -> int:
 
 
 class RunDigest:
-    """Incremental content identity of a training-log prefix.
+    """Content identity of a training-log prefix: an immutable hash chain.
 
-    Seeded with the run's static fingerprint (estimator kind and options,
-    validation-set and model-architecture hashes) and updated with every
-    ingested epoch record — using :func:`repro.io.hash_arrays`, the exact
-    scheme behind the checksums embedded in saved ``.npz`` logs.  After
-    ingesting a full log the digest is therefore a deterministic function
-    of the same bytes :func:`repro.io.training_log_checksum` hashes, so
-    identical logs collapse onto identical cache keys.
+    ``d_0`` hashes the run's static fingerprint (estimator kind and
+    options, validation-set and model-architecture hashes); epoch ``t``
+    extends it, ``d_t = SHA-256(d_{t-1} ‖ h_t)``, where ``h_t`` is the
+    record's :func:`repro.io.hash_arrays` hash (the scheme of the ``.npz``
+    checksums), so identical logs collapse onto identical cache keys.
+    Each update returns the next link and leaves this one as it was; the
+    WAL logs every ``h_t`` and ``d_t``, so a restored run resumes its
+    chain from the recorded digest (:meth:`resume`).
     """
 
+    __slots__ = ("_hex", "epochs", "record_hash")
+
     def __init__(self, *seed_parts: str) -> None:
-        self._digest = hashlib.sha256()
+        digest = hashlib.sha256()
         for part in seed_parts:
-            self._digest.update(part.encode())
-            self._digest.update(b"\x00")
-        self._epochs = 0
+            digest.update(part.encode())
+            digest.update(b"\x00")
+        self._hex = digest.hexdigest()
+        self.epochs = 0
+        self.record_hash: str | None = None  # h_t of this link (d_0: None)
 
-    @property
-    def epochs(self) -> int:
-        return self._epochs
+    @classmethod
+    def resume(
+        cls, hexdigest: str, epochs: int = 0, record_hash: str | None = None
+    ) -> "RunDigest":
+        """The chain link ``hexdigest``, at ``epochs`` ingested epochs."""
+        link = cls.__new__(cls)
+        link._hex, link.epochs, link.record_hash = hexdigest, epochs, record_hash
+        return link
 
-    def update_hfl(self, record: EpochRecord) -> str:
-        """Absorb one HFL epoch record; returns the new hex state."""
-        hash_arrays(
-            self._digest,
-            {
-                "theta_before": record.theta_before,
-                "local_updates": record.local_updates,
-                "weights": record.weights,
-                "participation": record.participation_mask().astype(np.uint8),
-            },
-        )
-        self._digest.update(repr((record.epoch, record.lr)).encode())
-        self._epochs += 1
-        return self.hexdigest()
+    def extend(self, record_hash: str) -> "RunDigest":
+        """The next link: ``d_t = SHA-256(d_{t-1} ‖ h_t)``."""
+        chained = hashlib.sha256(bytes.fromhex(self._hex) + bytes.fromhex(record_hash))
+        return RunDigest.resume(chained.hexdigest(), self.epochs + 1, record_hash)
 
-    def update_vfl(self, record: VFLEpochRecord) -> str:
-        """Absorb one VFL epoch record; returns the new hex state."""
-        hash_arrays(
-            self._digest,
-            {
-                "theta_before": record.theta_before,
-                "train_gradient": record.train_gradient,
-                "val_gradient": record.val_gradient,
-                "weights": record.weights,
-                "participation": record.participation_mask().astype(np.uint8),
-            },
-        )
-        self._digest.update(repr((record.epoch, record.lr)).encode())
-        self._epochs += 1
-        return self.hexdigest()
+    def update_hfl(self, record: EpochRecord) -> "RunDigest":
+        """The link after one HFL epoch record."""
+        return self.extend(_record_hash(record, "local_updates"))
+
+    def update_vfl(self, record: VFLEpochRecord) -> "RunDigest":
+        """The link after one VFL epoch record."""
+        return self.extend(_record_hash(record, "train_gradient", "val_gradient"))
 
     def hexdigest(self) -> str:
-        return self._digest.copy().hexdigest()
+        return self._hex
 
-    def fork(self) -> "RunDigest":
-        """An independent copy of the current digest state.
 
-        The service ingests *atomically*: it absorbs the record into a
-        fork, feeds the estimator, and only then commits the fork as the
-        run's digest — so a failed (or chaos-injected) ingest leaves the
-        run's content identity untouched and cache keys never point at
-        state the estimator does not hold.
-        """
-        copy = RunDigest()
-        copy._digest = self._digest.copy()
-        copy._epochs = self._epochs
-        return copy
+def _record_hash(record, *names: str) -> str:
+    """``h_t``: the epoch's named arrays, participation and (epoch, lr)."""
+    arrays = {name: getattr(record, name) for name in ("theta_before", "weights", *names)}
+    arrays["participation"] = record.participation_mask().astype(np.uint8)
+    digest = hashlib.sha256()
+    hash_arrays(digest, arrays)
+    digest.update(repr((record.epoch, record.lr)).encode())
+    return digest.hexdigest()
 
 
 def fingerprint_arrays(**arrays: np.ndarray) -> str:

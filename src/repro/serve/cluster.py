@@ -163,6 +163,8 @@ def _worker_main(spec: WorkerSpec) -> None:
     it (so replayed ingests are not re-logged), then serve.  SIGTERM is
     the supervisor's clean-shutdown signal; SIGKILL is what the chaos
     harness throws, and the WAL is the only thing that survives it.
+    SIGINT is ignored: a Ctrl-C reaches the whole foreground process
+    group, and the workers must outlive the router's drain.
     """
     import signal
 
@@ -175,6 +177,7 @@ def _worker_main(spec: WorkerSpec) -> None:
         raise SystemExit(0)
 
     signal.signal(signal.SIGTERM, _terminate)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     obs = Observability(
         trace=spec.trace,
         # Disjoint id blocks per shard: merged trace exports from several
@@ -196,8 +199,8 @@ def _worker_main(spec: WorkerSpec) -> None:
     wal = WriteAheadLog(spec.wal_dir)
     # One applier per worker, shared by boot recovery, the streaming
     # follower (standbys) and /control/adopt (all roles — rebalance
-    # ships runs to primaries too).  Recovery warms its run-spec cache;
-    # once the WAL is attached, everything it applies is re-logged.
+    # ships runs to primaries too).  Once the WAL is attached, everything
+    # it applies is re-logged.
     applier = WalApplier(service)
     report = recover(service, wal, applier=applier)
     service.attach_wal(wal)
@@ -229,7 +232,7 @@ def _worker_main(spec: WorkerSpec) -> None:
     server.controller = WorkerController(server, service, applier, follower=follower)
     try:
         server.serve_forever()
-    except (KeyboardInterrupt, SystemExit):
+    except SystemExit:
         pass
     finally:
         if follower is not None:
@@ -948,17 +951,12 @@ class ClusterSupervisor(StaticTopology):
         self._pending_ring = HashRing(
             range(n_target), replicas=RING_REPLICAS
         )
-        keys: list[str] = []
-        for shard in current:
-            entries, _, _ = scan_wal(
-                Path(self.shards[shard].primary.spec.wal_dir)
-                / WriteAheadLog.FILENAME
-            )
-            keys.extend(
-                str(entry.payload["run_id"])
-                for entry in entries
-                if entry.kind == REGISTER and entry.payload.get("run_id")
-            )
+        keys = [
+            str(entry.payload["run_id"])
+            for shard in current
+            for entry in self._primary_wal(shard)
+            if entry.kind == REGISTER and entry.payload.get("run_id")
+        ]
         # Only ship runs whose *current ring owner* is the scan source —
         # a run that migrated in an earlier resize still sits in its old
         # owner's WAL file, but the ring no longer maps it there.
@@ -969,6 +967,11 @@ class ClusterSupervisor(StaticTopology):
             self._migrate_run(key, source, dest)
             self._rebalance["moved"] += 1
         return plan
+
+    def _primary_wal(self, shard) -> list:
+        """The records in ``shard``'s primary WAL *file*: it outlives a kill."""
+        spec = self.shards[shard].primary.spec
+        return scan_wal(Path(spec.wal_dir) / WriteAheadLog.FILENAME)[0]
 
     def _migrate_run(self, run_id: str, source: int, dest: int) -> None:
         """Ship one run's WAL subset from ``source``'s file to ``dest``.
@@ -987,14 +990,9 @@ class ClusterSupervisor(StaticTopology):
         deadline = time.monotonic() + READY_TIMEOUT_S
         attempt = 0
         while True:
-            source_wal = (
-                Path(self.shards[source].primary.spec.wal_dir)
-                / WriteAheadLog.FILENAME
-            )
-            entries, _, _ = scan_wal(source_wal)
             frames = [
                 entry.frame()
-                for entry in entries
+                for entry in self._primary_wal(source)
                 if str(entry.payload.get("run_id")) == run_id
             ]
             try:
@@ -1198,8 +1196,20 @@ class _RouterHandler(RequestCore):
             )
         return payload
 
-    def _sorted_shards(self) -> list:
-        return sorted(self.topology.ring.shards, key=str)
+    def _fan_out(self, path: str, errors=(ShardUnavailable, ShardTimeout)) -> dict:
+        """Every ring shard's answer to ``GET path``, as ``{"0": ...}``.
+
+        A shard that fails with one of ``errors`` answers
+        ``{"status": "down", "error": ...}``: a fleet view during
+        failover still renders.
+        """
+        answers = {}
+        for shard in sorted(self.topology.ring.shards, key=str):
+            try:
+                answers[str(shard)] = self._proxy_json(shard, path)
+            except errors as exc:
+                answers[str(shard)] = {"status": "down", "error": str(exc)}
+        return answers
 
     # --------------------------------------------------------------- routes
 
@@ -1300,53 +1310,34 @@ class _RouterHandler(RequestCore):
     # --------------------------------------------------------- aggregation
 
     def _get_healthz(self, parts, query):
-        shards: dict = {}
-        down: list[str] = []
-        status = "ok"
-        for shard in self._sorted_shards():
-            try:
-                payload = self._proxy_json(shard, "/healthz")
-            except (ShardUnavailable, ShardTimeout) as exc:
-                shards[str(shard)] = {"status": "down", "error": str(exc)}
-                down.append(str(shard))
-                status = "degraded"
-                continue
-            shards[str(shard)] = payload
-            if payload.get("status") != "ok":
-                status = "degraded"
+        shards = self._fan_out("/healthz")
+        ok = all(answer.get("status") == "ok" for answer in shards.values())
         return {
-            "status": status,
+            "status": "ok" if ok else "degraded",
             "workers": len(shards),
-            "down": down,
+            "down": [s for s, a in shards.items() if a.get("status") == "down"],
             "shards": shards,
         }, 200
 
     def _get_runs(self, parts, query):
-        collected: list[tuple[object, dict]] = []
-        unavailable: list[dict] = []
-        for shard in self._sorted_shards():
-            try:
-                payload = self._proxy_json(shard, "/runs")
-            except (ShardUnavailable, ShardTimeout) as exc:
-                unavailable.append({"shard": str(shard), "error": str(exc)})
-                continue
-            for run in payload.get("runs", []):
-                run["shard"] = str(shard)
-                collected.append((shard, run))
         # A rebalance leaves the moved run's WAL (and registry entry) on
         # its old owner too; the ring decides which copy is canonical.
         # Runs registered out-of-band (no ring owner among the queried
         # shards) stay visible as long as no owned copy shadows them.
         owned: dict = {}
         extras: list[dict] = []
-        for shard, run in collected:
-            run_id = run.get("run_id")
-            if run_id is not None and str(
-                self.topology.ring.shard_for(str(run_id))
-            ) == str(shard):
-                owned[run_id] = run
-            else:
-                extras.append(run)
+        unavailable: list[dict] = []
+        for shard, payload in self._fan_out("/runs").items():
+            if payload.get("status") == "down":
+                unavailable.append({"shard": shard, "error": payload["error"]})
+            for run in payload.get("runs", []):
+                run["shard"] = shard
+                run_id = run.get("run_id")
+                ring_owner = self.topology.ring.shard_for(str(run_id))
+                if run_id is not None and str(ring_owner) == shard:
+                    owned[run_id] = run
+                else:
+                    extras.append(run)
         runs = list(owned.values()) + [
             run for run in extras if run.get("run_id") not in owned
         ]
@@ -1363,14 +1354,8 @@ class _RouterHandler(RequestCore):
         """
         server = self.server
         payload = server.telemetry.status()  # type: ignore[attr-defined]
-        workers: dict = {}
-        down: list[str] = []
-        for shard in self._sorted_shards():
-            try:
-                workers[str(shard)] = self._proxy_json(shard, "/statusz")
-            except (ShardUnavailable, ShardTimeout, ApiError) as exc:
-                workers[str(shard)] = {"status": "down", "error": str(exc)}
-                down.append(str(shard))
+        workers = self._fan_out("/statusz", errors=ApiError)
+        down = [s for s, a in workers.items() if a.get("status") == "down"]
         # A down shard does not flip the verdict by itself: the router's
         # own SLO engine already books every failed proxy as a bad
         # request, so sustained damage burns availability the honest way.
@@ -1392,12 +1377,7 @@ class _RouterHandler(RequestCore):
             raise ApiError(
                 400, f"format must be 'json' or 'prometheus', got {fmt!r}"
             )
-        workers: dict = {}
-        for shard in self._sorted_shards():
-            try:
-                workers[str(shard)] = self._proxy_json(shard, "/metricz")
-            except (ShardUnavailable, ShardTimeout) as exc:
-                workers[str(shard)] = {"status": "down", "error": str(exc)}
+        workers = self._fan_out("/metricz")
         return {
             "router": {
                 "latency": {
@@ -1422,15 +1402,13 @@ class _RouterHandler(RequestCore):
             self.server.obs.registry.snapshot(),  # type: ignore[attr-defined]
             labels={"worker": "router"},
         )
-        shards = self._sorted_shards()
+        shards = self._fan_out("/metricz?format=snapshot")
         down = 0
-        for shard in shards:
-            try:
-                payload = self._proxy_json(shard, "/metricz?format=snapshot")
-            except (ShardUnavailable, ShardTimeout):
+        for shard, payload in shards.items():
+            if payload.get("status") == "down":
                 down += 1
-                continue
-            merged.merge(payload["snapshot"], labels={"worker": str(shard)})
+            else:
+                merged.merge(payload["snapshot"], labels={"worker": shard})
         merged.gauge(
             "repro_cluster_shards", help="shards on the hash ring"
         ).set(len(shards))

@@ -376,8 +376,9 @@ def hfl_validation_and_model(dataset: str, seed: int, n_samples: int | None = No
 class RunInputs:
     """A validated register spec and the inputs it names, ready to register.
 
-    ``record`` is the spec in the form a WAL ``register`` record holds it,
-    with ``run_id`` as requested (``None`` asks for an automatic id).
+    ``record`` is the checked spec, the ``POST /runs`` fields the run's
+    WAL ``register`` record carries, with ``run_id`` as requested
+    (``None`` asks for an automatic id).
     """
 
     record: dict
@@ -388,11 +389,8 @@ class RunInputs:
     def register(self, service: EvaluationService) -> str:
         """Register the (empty) run this spec describes; returns its id."""
         record = self.record
-        common = {
-            "run_id": record["run_id"],
-            "estimator": record["estimator"],
-            "estimator_options": record["estimator_options"],
-        }
+        common = {k: record[k] for k in ("run_id", "estimator", "estimator_options")}
+        common["spec"] = record
         if record["kind"] == "hfl":
             return service.register_hfl(
                 self.log.participant_ids,
@@ -407,10 +405,9 @@ class RunInputs:
 
 
 def load_spec(service: EvaluationService, spec: dict) -> RunInputs:
-    """The one register-spec loader: validate a spec, then build its inputs.
+    """The ``POST /runs`` loader: validate a spec, then build its inputs.
 
-    ``POST /runs``, WAL recovery, standby apply and resize adoption all
-    load through here.  Invalid fields are typed 400s; a missing log file
+    Invalid fields are typed 400s; a missing log file
     raises :class:`FileNotFoundError` and an unreadable or tampered one
     :class:`~repro.io.TrainingLogIntegrityError`.  The log and, for HFL,
     the (validation set, model factory) pair come from ``service.cache``
@@ -554,17 +551,14 @@ def _freeze(*arrays) -> int:
 def register_from_spec(service: EvaluationService, spec: dict) -> dict:
     """Handle a ``POST /runs`` body: load the spec, register, ingest.
 
-    The ``register`` record goes to an attached
-    :class:`~repro.serve.wal.WriteAheadLog` before any of the run's
-    ``ingest`` records — exactly the replay order
-    :func:`repro.serve.wal.recover` needs when the process is killed
-    mid-ingest — and all of them share one fsync, issued before this
-    returns (:meth:`EvaluationService.ingest_log`).
+    Registering writes the run's ``register`` record to an attached
+    :class:`~repro.serve.wal.WriteAheadLog` before any of its ``ingest``
+    records, and all of them share one fsync, issued before this returns
+    (:meth:`EvaluationService.ingest_log`).
     """
     try:
         inputs = load_spec(service, spec)
         run_id = inputs.register(service)
-        service.record_registration(inputs.record | {"run_id": run_id}, sync=False)
         service.ingest_log(run_id, inputs.log)
     except ApiError:
         raise

@@ -1,43 +1,31 @@
 """Warm standby replication for cluster shards: WAL shipping + promotion.
 
-PR 6's failover story was respawn-then-replay: a SIGKILLed shard is dark
-for the whole WAL replay.  This module closes that window.  Every shard
-can run a *standby* worker that continuously tails its primary's
-write-ahead log over HTTP (``GET /wal/stream?from_seq=``, checksummed
-frames) and applies each record to its own live
-:class:`~repro.serve.service.EvaluationService` — so at the moment the
-primary dies the standby already holds (almost) the whole registry, and
-promotion costs only "catch up the lag", not "replay the world".
-
-Three pieces, layered on the WAL's existing validation:
+Respawn-then-replay leaves a SIGKILLed shard dark for its whole WAL
+replay.  Here a *standby* worker tails its primary's write-ahead log over
+HTTP (``GET /wal/stream?from_seq=``, checksummed frames) and applies each
+record to its own live :class:`~repro.serve.service.EvaluationService`,
+so promotion costs only "catch up the lag", not "replay the world".
 
 * :class:`WalApplier` — applies one validated
-  :class:`~repro.serve.wal.WalEntry` to a service, *idempotently* (an
-  already-registered run or already-absorbed epoch is skipped, so frames
-  may be re-delivered freely) and with the same digest verification
-  :func:`repro.serve.wal.recover` does — a standby that disagrees
+  :class:`~repro.serve.wal.WalEntry` to a service, *idempotently*, for
+  boot recovery, streamed replication and rebalance adoption alike.  It
+  pushes the logged row — no training-log file, no estimator — once the
+  record's link extends its run's hash chain; a standby that disagrees
   bit-for-bit with its primary refuses rather than diverge silently.
-  ``recover()`` itself now runs on this applier, so boot-time replay,
-  streamed replication, and rebalance adoption share one code path.
-* :class:`WalFollower` — the standby-side tailing thread.  Polls the
-  primary, re-verifies every frame's checksum, applies it, and exports
-  ``repro_replica_lag_records`` / ``repro_replica_applied_seq`` gauges
-  through the worker's ``/metricz``.  Because the standby's service has
-  its *own* WAL attached, every applied record is re-logged locally —
-  the standby is itself crash-recoverable and, once promoted, a valid
-  replication source.  On :meth:`promote` the follower stops, then
-  drains any unshipped tail directly from the dead primary's WAL *file*
-  (which survives SIGKILL; same host/filesystem), making the handoff
-  gapless: the promoted standby serves contributions ``np.array_equal``
-  to the batch estimate of everything the primary ever acknowledged.
+* :class:`WalFollower` — the standby's tailing thread: polls, re-verifies
+  every frame, applies it, and exports ``repro_replica_lag_records`` /
+  ``repro_replica_applied_seq``.  The standby's own WAL re-logs what it
+  applies, so it is crash-recoverable and, once promoted, a replication
+  source.  :meth:`~WalFollower.promote` stops following and drains the
+  unshipped tail from the dead primary's WAL *file* (it survives
+  SIGKILL), so the promoted standby serves answers ``np.array_equal`` to
+  the batch estimate of everything the primary acknowledged.
 * :class:`WorkerController` — the supervisor→worker control plane behind
   ``POST /control/{status,epoch,promote,adopt}``: promotion, ring-epoch
-  fencing updates, and ``adopt`` (apply a shipped per-run WAL subset),
-  which is what online rebalance uses to move a run between shards.
+  fencing, and ``adopt`` (apply a shipped per-run WAL subset), which
+  online rebalance uses to move a run between shards.
 
-The supervisor side (standby spawning, death detection, the promote/
-respawn decision, and the rebalance orchestration built on ``adopt``)
-lives in :mod:`repro.serve.cluster`.
+The supervisor side lives in :mod:`repro.serve.cluster`.
 """
 
 from __future__ import annotations
@@ -47,10 +35,9 @@ import threading
 from http.client import HTTPException
 from pathlib import Path
 
-from repro.io import TrainingLogIntegrityError
-from repro.serve.http import ApiError, http_request, load_spec
+from repro.serve.http import ApiError, _cached_validation, http_request
 from repro.serve.wal import (
-    INGEST,
+    FIELDS,
     REGISTER,
     RecoveryError,
     WalCorruption,
@@ -76,119 +63,54 @@ class WalApplier:
     standby follower, and the ``/control/adopt`` path — all three may
     deliver the *same* fact more than once (a refetched frame after a
     standby restart, a dual-written ingest landing after the adopted
-    subset already carried it), so every application is a no-op when the
-    service already holds the fact:
-
-    * a ``register`` for a run the service knows keeps the run and only
-      refreshes the cached training log;
-    * an ``ingest`` whose epoch the run has already absorbed is skipped
-      (the service's seq-idempotent ingest path).
-
-    When the service has a WAL attached (every cluster worker does),
-    applied facts are re-logged locally by the service itself — which is
-    exactly what makes a standby crash-recoverable and promotable into a
-    replication source.  Digest verification mirrors ``recover()``:
-    a mismatch raises :class:`~repro.serve.wal.RecoveryError` because it
-    means the replica would serve different numbers than the primary
-    acknowledged.
+    subset already carried it), and a fact the service already holds is
+    a no-op (:meth:`~repro.serve.service.EvaluationService.restore_run`,
+    :meth:`~repro.serve.service.EvaluationService.replay_epoch`).  With
+    a WAL attached the service re-logs what it applies, which makes a
+    standby crash-recoverable and promotable into a replication source.
+    A record that does not extend its run's hash chain, or cannot be
+    applied at all, raises :class:`~repro.serve.wal.RecoveryError`.
     """
 
     def __init__(self, service) -> None:
         self.service = service
         self.runs_restored = 0
         self.epochs_replayed = 0
-        self.runs_skipped: list[str] = []
-        self.epochs_skipped = 0
-        # run_id -> (register spec, loaded training log); the log gives
-        # ingest application its epoch records without re-reading the
-        # .npz per epoch.
-        self._logs: dict = {}
         # Serialises follower-thread streaming against /control/adopt
         # requests arriving on server threads.
         self._lock = threading.Lock()
 
     def apply(self, entry: WalEntry) -> None:
         """Apply one validated entry; raises on divergence, never on replay."""
+        payload = entry.payload
+        missing = [name for name in FIELDS[entry.kind] if name not in payload]
+        if missing:
+            raise RecoveryError(
+                f"WAL record seq {entry.seq} ({entry.kind}) has no "
+                f"{', '.join(missing)}: it was written before WAL records "
+                "carried contribution rows; refusing to replay it"
+            )
         with self._lock:
-            if entry.kind == REGISTER:
-                self._apply_register(entry.payload)
-            else:
-                self._apply_ingest(entry.payload)
-
-    # ------------------------------------------------------------ internals
-
-    def _apply_register(self, spec: dict) -> None:
-        run_id = spec.get("run_id")
-        already = run_id is not None and self.service.has_run(run_id)
-        if already and run_id in self._logs:
-            return  # redelivered frame, nothing new
-        try:
-            inputs = load_spec(self.service, spec)
-            if not already:
-                inputs.register(self.service)
-        except (
-            FileNotFoundError,
-            TrainingLogIntegrityError,
-            KeyError,
-            ValueError,
-            ApiError,
-        ) as exc:
-            # Losing one run's log file — or a WAL spec naming an
-            # estimator backend this process doesn't register — must not
-            # take down recovery (or replication) of everything else;
-            # its ingests will be counted under epochs_skipped.
-            self.runs_skipped.append(f"{run_id} ({exc})")
-            return
-        if not already:
-            # Re-log the registration locally (no-op without a WAL), so
-            # this worker's own WAL replays in the order recovery needs.
-            self.service.record_registration(dict(spec))
-            self.runs_restored += 1
-        self._logs[run_id] = (dict(spec), inputs.log)
-
-    def _apply_ingest(self, payload: dict) -> None:
-        run_id = payload.get("run_id")
-        cached = self._logs.get(run_id)
-        if cached is None:
-            # Registered out-of-band (live publisher run) or its
-            # registration was skipped above — nothing to replay from.
-            self.epochs_skipped += 1
-            return
-        spec, log = cached
-        epoch_count = int(payload["epoch"])
-        if epoch_count > log.n_epochs:
-            # The producer may have re-saved a longer log since we
-            # loaded it (live pipelines append); reload once before
-            # declaring the WAL and the file out of sync.
             try:
-                log = load_spec(self.service, spec).log
-                self._logs[run_id] = (spec, log)
-            except (FileNotFoundError, TrainingLogIntegrityError, KeyError):
-                pass
-            if epoch_count > log.n_epochs:
+                if entry.kind == REGISTER:
+                    self.runs_restored += self.service.restore_run(
+                        payload, self._validation(payload)
+                    )
+                else:
+                    self.epochs_replayed += self.service.replay_epoch(payload)
+            except (KeyError, TypeError, ValueError) as exc:
                 raise RecoveryError(
-                    f"WAL says run {run_id!r} ingested {epoch_count} epochs "
-                    f"but its log file holds only {log.n_epochs}"
-                )
-        record = log.records[epoch_count - 1]
-        got = self.service.ingest(run_id, record, seq=epoch_count)
-        if got > epoch_count:
-            return  # redelivered frame for an epoch long absorbed
-        if got != epoch_count:
-            raise RecoveryError(
-                f"replaying run {run_id!r} reached {got} epochs where the "
-                f"WAL expected {epoch_count}"
-            )
-        rebuilt = self.service.run_digest(run_id)
-        recorded = payload.get("digest")
-        if recorded is not None and rebuilt != recorded:
-            raise RecoveryError(
-                f"run {run_id!r} epoch {epoch_count}: rebuilt digest "
-                f"{rebuilt[:12]}… does not match the WAL's "
-                f"{recorded[:12]}… — the log file changed since the "
-                "crash; refusing to serve different numbers"
-            )
-        self.epochs_replayed += 1
+                    f"WAL record seq {entry.seq} ({entry.kind}) cannot be "
+                    f"applied: {type(exc).__name__}: {exc}"
+                ) from exc
+
+    def _validation(self, record: dict):
+        """How a POSTed HFL run rebuilds its validation set, if it can."""
+        if record["kind"] != "hfl" or "dataset" not in record:
+            return None
+        return lambda: _cached_validation(
+            self.service, record["dataset"], record["seed"], record["n_samples"]
+        )
 
 
 class WalFollower:
@@ -196,8 +118,8 @@ class WalFollower:
 
     ``next_seq`` counts *primary* sequence numbers.  On a standby
     restart it resumes from the standby's own WAL length — a
-    conservative lower bound (a skipped run produces primary entries
-    with no local counterpart), so some frames may be refetched; the
+    conservative lower bound (a record the standby already held when it
+    arrived is not re-logged), so some frames may be refetched; the
     applier's idempotence makes that free.  A primary that stops
     answering is *not* an error here: the supervisor decides between
     promotion and respawn, and the follower just keeps polling (after a

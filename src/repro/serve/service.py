@@ -1,40 +1,34 @@
 """In-process contribution evaluation service.
 
 One :class:`EvaluationService` owns a registry of *runs* (streaming
-estimator + incremental content digest + lock + circuit breaker), a
-shared :class:`~repro.serve.cache.ResultCache`, a request thread pool
-behind a bounded admission queue, and latency histograms.  Producers
-push epochs in — either batched from a saved log or live from the
-:mod:`repro.runtime` engine through a :class:`ContributionPublisher` —
-and any number of consumer threads query contributions, leaderboards and
-Eq. 17 reweight vectors mid-training.
+estimator + content digest + lock + circuit breaker), a shared
+:class:`~repro.serve.cache.ResultCache`, a request thread pool behind a
+bounded admission queue, and latency histograms.  Producers push epochs
+in — batched from a saved log, or live from the :mod:`repro.runtime`
+engine through a :class:`ContributionPublisher` — and any number of
+consumer threads query contributions, leaderboards and Eq. 17 reweight
+vectors mid-training.
 
-Concurrency model, in one paragraph: the registry is guarded by one lock;
-each run is guarded by its own re-entrant lock, held for the duration of
-every ingest *and* every query touching that run's estimator, so a query
-always observes a whole number of epochs.  Query answers are cached
-content-addressed (log-prefix digest + query parameters); the cache is
-itself thread-safe, so hits never take the run lock's slow path twice.
-Validation gradients are memoised through the same cache under the
-epoch's digest snapshot, which is what makes repeated and concurrent
-queries cheap (see ``benchmarks/bench_serve.py``).
+Concurrency: the registry is guarded by one lock; each run by its own
+re-entrant lock, held for every ingest *and* every query touching its
+estimator, so a query observes a whole number of epochs.  Query answers
+and validation gradients are cached content-addressed (prefix digest +
+query parameters) in one thread-safe cache (``benchmarks/bench_serve.py``).
 
-Resilience model (:mod:`repro.serve.resilience`), in a second paragraph:
-every query may carry a :class:`~repro.serve.resilience.Deadline`
-(``query_deadline_ms``), checked cooperatively at safe points and at the
-``Future`` boundary of :meth:`query`; a bounded admission queue sheds
-load with :class:`~repro.serve.resilience.ServiceOverloaded` instead of
-queueing without bound; each run has a circuit breaker that, after
-consecutive estimator failures or timeouts, stops recomputing and serves
-the run's *last good* answer marked ``"stale": true`` — because
-contribution scores are volatile across reruns, a consistent stale
-answer beats an error and beats a nervous recompute.  Computed payloads
-are validated (finite numbers only) so chaos-corrupted results are
-treated as failures, never cached.  :meth:`close` is idempotent, and
-every public method fails fast with
-:class:`~repro.serve.resilience.ServiceClosed` afterwards.  An attached
-:class:`~repro.serve.wal.WriteAheadLog` makes registrations and ingested
-prefixes durable for ``repro serve --recover``.
+Resilience (:mod:`repro.serve.resilience`): a query may carry a
+:class:`~repro.serve.resilience.Deadline`, checked at safe points and at
+the ``Future`` boundary of :meth:`query`; a bounded admission queue sheds
+load with :class:`~repro.serve.resilience.ServiceOverloaded`; a per-run
+circuit breaker, after consecutive estimator failures or timeouts, serves
+the run's *last good* answer marked ``"stale": true`` — contribution
+scores are volatile across reruns, so a consistent stale answer beats an
+error and a nervous recompute.  Non-finite payloads count as failures and
+are never cached.  :meth:`close` is idempotent; every public method then
+raises :class:`~repro.serve.resilience.ServiceClosed`.  An attached
+:class:`~repro.serve.wal.WriteAheadLog` makes every registration and
+every epoch's contribution row durable; ``repro serve --recover``
+restores runs from those rows alone (:meth:`EvaluationService.restore_run`,
+:meth:`~EvaluationService.replay_epoch`).
 """
 
 from __future__ import annotations
@@ -81,23 +75,29 @@ _VAL_GRAD_PREFIX = "valgrad"
 _CALLER_ERRORS = (ValueError, KeyError, TypeError)
 
 
+class MissingRunInputs(RuntimeError):
+    """A live epoch for a WAL-restored run the WAL holds no inputs for."""
+
+
 class _Run:
     """One registered run: estimator, digest, lock, breaker, last-good answers."""
 
     def __init__(
         self,
         run_id: str,
-        kind: str,
         estimator: _StreamingBase,
         digest: RunDigest,
         breaker: CircuitBreaker,
-        estimator_name: str = "digfl",
+        record: dict,
+        rebuild: Callable[[], _StreamingBase] | None = None,
     ) -> None:
         self.run_id = run_id
-        self.kind = kind
         self.estimator = estimator
-        self.estimator_name = estimator_name
         self.digest = digest
+        # The WAL register record (kind, estimator, ...); ``rebuild`` builds
+        # a restored HFL run's estimator, inputs included, when it ingests.
+        self.record = record
+        self.rebuild = rebuild
         self.lock = threading.RLock()
         self.breaker = breaker
         self.profiler = NULL_PROFILER  # the service swaps in the run's own
@@ -109,8 +109,8 @@ class _Run:
         with self.lock:
             return {
                 "run_id": self.run_id,
-                "kind": self.kind,
-                "estimator": self.estimator_name,
+                "kind": self.record["kind"],
+                "estimator": self.record["estimator"],
                 "epochs": self.estimator.n_epochs,
                 "participants": list(self.estimator.participant_ids),
                 "breaker": self.breaker.state,
@@ -249,6 +249,7 @@ class EvaluationService:
         use_logged_weights: bool = False,
         estimator: str = "digfl",
         estimator_options: dict | None = None,
+        spec: dict | None = None,
     ) -> str:
         """Register an (initially empty) HFL run; returns its id.
 
@@ -258,16 +259,29 @@ class EvaluationService:
         validation-set hash, the model architecture and the backend's
         digest token (name + options), so cached answers are shared
         exactly between runs that would compute identical numbers — and
-        never across backends.  Validation gradients are memoised in a
-        namespace keyed on the validation set and model architecture
-        *only*, so every backend and option combination over the same
-        data shares them.
+        never across backends.  ``spec`` holds the ``POST /runs`` fields
+        the run's WAL ``register`` record carries.
         """
         backend = get_backend(estimator, **(estimator_options or {}))
         backend.require("hfl")
-        probe = model_factory()
+        use_logged_weights = bool(use_logged_weights)
+        memo = self.cache.memo(_VAL_GRAD_PREFIX)
+        ctx = HFLRunContext(
+            participant_ids,
+            validation,
+            model_factory,
+            use_logged_weights=use_logged_weights,
+            val_grad_memo=memo,
+        )
+        streaming = backend.streaming_hfl(ctx)
+        # The architecture comes off the estimator's own model: one
+        # model_factory() call per registration.  Validation gradients are
+        # memoised per (validation set, architecture) only, so every
+        # backend and option combination over the same data shares them.
+        model = streaming.model
         val_fingerprint = fingerprint_arrays(X=validation.X, y=validation.y)
-        architecture = f"{type(probe).__name__}:{probe.num_parameters()}"
+        architecture = f"{type(model).__name__}:{model.num_parameters()}"
+        memo.prefix = f"{_VAL_GRAD_PREFIX}:{val_fingerprint}:{architecture}"
         seed = RunDigest(
             "hfl",
             backend.digest_token(),
@@ -275,17 +289,10 @@ class EvaluationService:
             val_fingerprint,
             architecture,
         )
-        ctx = HFLRunContext(
-            participant_ids,
-            validation,
-            model_factory,
-            use_logged_weights=use_logged_weights,
-            val_grad_memo=self.cache.memo(
-                f"{_VAL_GRAD_PREFIX}:{val_fingerprint}:{architecture}"
-            ),
-        )
         return self._register(
-            run_id, "hfl", backend.streaming_hfl(ctx), seed, backend.name
+            run_id, "hfl", backend, streaming, seed, spec,
+            participant_ids=[int(i) for i in participant_ids],
+            use_logged_weights=use_logged_weights,
         )
 
     def register_vfl(
@@ -296,21 +303,23 @@ class EvaluationService:
         run_id: str | None = None,
         estimator: str = "digfl",
         estimator_options: dict | None = None,
+        spec: dict | None = None,
     ) -> str:
         """Register an (initially empty) VFL run; returns its id."""
         backend = get_backend(estimator, **(estimator_options or {}))
         backend.require("vfl")
+        blocks = [np.asarray(b) for b in feature_blocks]
         seed = RunDigest(
             "vfl",
             backend.digest_token(),
-            fingerprint_arrays(
-                **{f"block_{i}": np.asarray(b) for i, b in enumerate(feature_blocks)}
-            ),
+            fingerprint_arrays(**{f"block_{i}": b for i, b in enumerate(blocks)}),
             repr(list(active_parties)),
         )
-        ctx = VFLRunContext(feature_blocks, active_parties)
+        ctx = VFLRunContext(blocks, active_parties)
         return self._register(
-            run_id, "vfl", backend.streaming_vfl(ctx), seed, backend.name
+            run_id, "vfl", backend, backend.streaming_vfl(ctx), seed, spec,
+            feature_blocks=[b.tolist() for b in blocks],
+            active_parties=[int(p) for p in active_parties],
         )
 
     def register_hfl_log(self, log: TrainingLog, validation, model_factory, **kwargs) -> str:
@@ -329,14 +338,63 @@ class EvaluationService:
         self.ingest_log(run_id, log)
         return run_id
 
+    def restore_run(self, record: dict, validation=None) -> bool:
+        """Register a run from its WAL ``register`` record; ``False`` if held.
+
+        Nothing is computed: a restored HFL run holds rows only, and its
+        first live epoch builds its estimator over ``validation()`` (a
+        (validation set, model factory) pair; none: :class:`MissingRunInputs`).
+        A held run must have the record's digest seed (:class:`RecoveryError`).
+        """
+        from repro.serve.wal import RecoveryError  # lazily: HTTP clients skip it
+
+        with self._registry_lock:
+            held = self._runs.get(record["run_id"])
+        if held is not None:
+            if held.record["digest_seed"] != record["digest_seed"]:
+                raise RecoveryError(
+                    f"run {record['run_id']!r} is held here with another "
+                    "estimator, options or inputs than the WAL record names"
+                )
+            return False
+        backend = get_backend(record["estimator"], **record["estimator_options"])
+        rebuild = None
+        if record["kind"] == "vfl":
+            blocks = [np.asarray(b, dtype=np.int64) for b in record["feature_blocks"]]
+            estimator = backend.streaming_vfl(
+                VFLRunContext(blocks, record["active_parties"])
+            )
+        else:
+            ids = record["participant_ids"]
+            estimator = backend.streaming_hfl(HFLRunContext(ids, None, lambda: None))
+
+            def rebuild() -> _StreamingBase:
+                if validation is None:
+                    raise MissingRunInputs(
+                        f"run {record['run_id']!r}: the WAL holds no validation set"
+                    )
+                weighted = record["use_logged_weights"]
+                ctx = HFLRunContext(ids, *validation(), use_logged_weights=weighted)
+                return backend.streaming_hfl(ctx)
+
+        digest = RunDigest.resume(record["digest_seed"])
+        self._register(
+            record["run_id"], record["kind"], backend, estimator, digest, record, rebuild
+        )
+        return True
+
     def _register(
         self,
         run_id: str | None,
         kind: str,
+        backend,
         estimator: _StreamingBase,
         digest: RunDigest,
-        estimator_name: str = "digfl",
+        spec: dict | None,
+        rebuild: Callable[[], _StreamingBase] | None = None,
+        **fields,
     ) -> str:
+        """Add a run; log its WAL ``register`` record: ``spec`` + ``fields``."""
         self._ensure_open()
         breaker = CircuitBreaker(
             self.breaker_failures,
@@ -344,31 +402,40 @@ class EvaluationService:
             on_open=self.breaker_opens_total.inc,
         )
         with self._registry_lock:
-            if run_id is None:
-                run_id = f"{kind}-{next(self._auto_ids)}"
+            auto = run_id is None
+            while auto and (run_id is None or run_id in self._runs):
+                run_id = f"{kind}-{next(self._auto_ids)}"  # past restored ids
             if run_id in self._runs:
                 raise ValueError(f"run id {run_id!r} already registered")
-            run = _Run(run_id, kind, estimator, digest, breaker, estimator_name)
+            record = {
+                **(spec or {}),
+                **fields,
+                "kind": kind,
+                "run_id": run_id,
+                "estimator": backend.name,
+                "estimator_options": backend.options,
+                "digest_seed": digest.hexdigest(),
+            }
+            run = _Run(run_id, estimator, digest, breaker, record, rebuild)
             # Hand the estimator this run's phase profiler so its hot-path
             # timers (valgrad, dot products) aggregate under the run id.
             run.profiler = self.obs.profiles.for_run(run_id)
             estimator.profiler = run.profiler
             self._runs[run_id] = run
+            run.lock.acquire()
+        try:
+            if self.wal is not None:
+                from repro.serve.wal import REGISTER
+
+                # Under the run's lock, which every ingest takes: no ingest
+                # record of the run can precede this one.  Outside the
+                # registry lock: a wait on another thread's fsync stalls no
+                # other run.  The run's first commit makes it durable.
+                with self.obs.tracer.span("wal.append", kind=REGISTER):
+                    self.wal.append(REGISTER, record, sync=False)
+        finally:
+            run.lock.release()
         return run_id
-
-    def record_registration(self, spec: dict, *, sync: bool = True) -> None:
-        """Log a spec-level registration (``POST /runs``) to the WAL.
-
-        Called *after* registering and *before* ingesting, so the WAL's
-        order (register, then that run's ingests) is exactly the replay
-        order recovery needs.  ``sync=False`` leaves the fsync to the
-        commit of the :meth:`ingest_log` that follows.  No WAL, no-op.
-        """
-        if self.wal is not None:
-            from repro.serve import wal as _wal
-
-            with self.obs.tracer.span("wal.append", kind=_wal.REGISTER):
-                self.wal.append(_wal.REGISTER, dict(spec), sync=sync)
 
     def attach_wal(self, wal: "WriteAheadLog") -> None:
         """Start logging registry mutations to ``wal`` (post-recovery hook)."""
@@ -382,11 +449,6 @@ class EvaluationService:
         with self._registry_lock:
             runs = list(self._runs.values())
         return [run.summary() for run in runs]
-
-    def has_run(self, run_id: str) -> bool:
-        """Is ``run_id`` registered?  (Idempotent-apply guard for replication.)"""
-        with self._registry_lock:
-            return run_id in self._runs
 
     def _run(self, run_id: str) -> _Run:
         with self._registry_lock:
@@ -418,10 +480,11 @@ class EvaluationService:
         absorbed (``n_epochs >= seq``) is skipped — which is what lets
         the retrying :class:`ContributionPublisher` re-send after a
         transient failure without double-ingesting.  Ingestion is atomic:
-        the digest is advanced on a fork and committed only after the
+        the next link of the digest chain is committed only after the
         estimator accepts the record, so a failed ingest changes nothing.
-        Behind a WAL the record is durable on return; ``sync=False``
-        writes it but leaves the fsync to the caller's commit.
+        Behind a WAL the epoch's row, counter increments and chain link
+        are durable on return (``sync=False`` leaves the fsync to the
+        caller's commit).  A WAL-restored run builds its estimator first.
         """
         self._ensure_open()
         run = self._run(run_id)
@@ -437,10 +500,13 @@ class EvaluationService:
                         f"out-of-order ingest: run {run_id!r} holds "
                         f"{run.estimator.n_epochs} epochs, got seq {seq}"
                     )
+            if run.rebuild is not None:
+                estimator = run.rebuild()
+                estimator.adopt(run.estimator)
+                run.estimator, run.rebuild = estimator, None
             with run.profiler.phase("cache.digest"):
-                candidate = run.digest.fork()
-                if run.kind == "hfl":
-                    candidate.update_hfl(record)
+                if run.record["kind"] == "hfl":
+                    candidate = run.digest.update_hfl(record)
                     # The gradient memo key is the *model state*, not the
                     # run digest: ∇loss^v(θ) depends only on θ (the memo
                     # namespace already pins the validation set and
@@ -448,22 +514,31 @@ class EvaluationService:
                     # options — or replay the same log — share gradients.
                     memo_key = fingerprint_arrays(theta=record.theta_before)
                 else:
-                    memo_key = candidate.update_vfl(record)
-            run.estimator.ingest(record, memo_key=memo_key)
+                    candidate = run.digest.update_vfl(record)
+                    memo_key = candidate.hexdigest()
+            counted = run.estimator.counter_values()
+            row = run.estimator.ingest(record, memo_key=memo_key)
             run.digest = candidate
             epochs = run.estimator.n_epochs
             span.set_attribute("epochs", epochs)
             if self.wal is not None:
-                from repro.serve import wal as _wal
+                from repro.serve.wal import INGEST, encode_row
 
-                with tracer.span("wal.append", kind=_wal.INGEST), run.profiler.phase(
+                increments = {
+                    name: value - counted[name]
+                    for name, value in run.estimator.counter_values().items()
+                }
+                with tracer.span("wal.append", kind=INGEST), run.profiler.phase(
                     "wal.fsync"
                 ):
                     self.wal.append(
-                        _wal.INGEST,
+                        INGEST,
                         {
                             "run_id": run_id,
                             "epoch": epochs,
+                            "row": encode_row(row),
+                            "counters": increments,
+                            "hash": candidate.record_hash,
                             "digest": candidate.hexdigest(),
                         },
                         sync=sync,
@@ -473,6 +548,39 @@ class EvaluationService:
             "serve.ingest", run_id=run_id, epochs=epochs, seq=seq
         )
         return epochs
+
+    def replay_epoch(self, payload: dict) -> bool:
+        """Push one WAL ``ingest`` record onto its run; ``False`` if held.
+
+        No estimator work: the logged row and counter increments are
+        pushed as they are, once the record's link extends the run's hash
+        chain, ``SHA-256(d_{t-1} ‖ h_t) == d_t`` (a redelivered record of
+        the latest epoch must carry the digest held), else
+        :class:`RecoveryError`.  Behind a WAL the record is re-logged as
+        it is, so a standby's own log is a valid replication source.
+        """
+        from repro.serve.wal import INGEST, RecoveryError, decode_row
+
+        run = self._run(payload["run_id"])
+        epoch = int(payload["epoch"])
+        with run.lock:
+            held = run.estimator.n_epochs
+            if epoch < held:
+                return False  # redelivered; only the latest link is kept
+            link = run.digest if epoch == held else run.digest.extend(payload["hash"])
+            if epoch > held + 1 or link.hexdigest() != payload["digest"]:
+                raise RecoveryError(
+                    f"run {run.run_id!r} epoch {epoch}: digest {payload['digest'][:12]}… "
+                    f"does not extend the {held} epoch(s) held; refusing to diverge"
+                )
+            if epoch == held:
+                return False
+            run.estimator.restore(decode_row(payload["row"]), payload["counters"])
+            run.digest = link
+            if self.wal is not None:
+                with self.obs.tracer.span("wal.append", kind=INGEST):
+                    self.wal.append(INGEST, dict(payload))
+        return True
 
     def ingest_log(
         self,
@@ -576,7 +684,7 @@ class EvaluationService:
         """Stamp a run-agnostic cached payload with the requesting run's id."""
         return {
             "run_id": run.run_id,
-            "estimator": run.estimator_name,
+            "estimator": run.record["estimator"],
             "stale": value.get("_stale", False),
             **{k: v for k, v in value.items() if k != "_stale"},
         }

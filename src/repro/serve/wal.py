@@ -1,54 +1,55 @@
 """Write-ahead log and crash recovery for the serving registry.
 
-PR 2's `CheckpointManager` made *training* crash-safe; this module does
-the same for *serving*.  A `repro serve` process accumulates state that
-is expensive to lose — registered runs and the exact log prefix each one
-has ingested — yet none of it was durable: a kill meant every client
-re-registering from scratch.  The :class:`WriteAheadLog` records, before
-the service acknowledges them, two kinds of facts:
+The :class:`WriteAheadLog` makes a ``repro serve`` registry durable.  By
+the paper's per-epoch decomposition a run's answer is a plain sum of its
+per-epoch rows, so the log holds the answer itself, not a pointer to the
+client's training-log file.  Before the service acknowledges them, it
+records:
 
-* ``register`` — the ``POST /runs`` spec (kind, log path, dataset/seed,
-  resolved run id): everything needed to rebuild the run's estimator;
-* ``ingest`` — one record per ingested epoch carrying the run's
-  incremental content digest *after* that epoch (the same
-  :func:`repro.io.hash_arrays`-based :class:`~repro.serve.cache.RunDigest`
-  the result cache keys on).
+* ``register`` — one per run, POSTed or in process: kind, estimator and
+  options, participant ids (VFL: feature blocks and active parties), the
+  digest seed ``d_0``, and the ``POST /runs`` fields when there are any;
+* ``ingest`` — one per epoch: the contribution row as exact float64
+  bytes (:func:`encode_row`), the work-counter increments the row does
+  not determine, the record hash ``h_t`` and the run's
+  :class:`~repro.serve.cache.RunDigest` link ``d_t`` after it.
 
-Each line is JSON stamped with a :func:`repro.io.json_checksum` and
-written and flushed on its own, so a SIGKILL can tear at most the final
-line.  :func:`replay` tolerates exactly that torn tail (dropped with a
-warning); corruption *before* the tail raises :class:`WalCorruption` —
-a mid-file flip means the history cannot be trusted.  Durability is per
-*commit*: a live ``ingest`` fsyncs its one record, while a ``POST
-/runs`` writes its register record and every epoch record, then fsyncs
-once (:meth:`WriteAheadLog.commit`) before the service acknowledges
-anything.
+Each line is JSON stamped with a :func:`repro.io.json_checksum`, written
+and flushed on its own, so a SIGKILL tears at most the final line; that
+torn tail is dropped with a warning, and corruption *before* it raises
+:class:`WalCorruption`.  A live ``ingest`` fsyncs its record; a ``POST
+/runs`` fsyncs once (:meth:`WriteAheadLog.commit`) for all of its records.
 
-:func:`recover` rebuilds an :class:`~repro.serve.service.EvaluationService`
-from a WAL: it re-registers every spec, replays each run's saved ``.npz``
-log **to the exact ingested epoch** recorded in the WAL, and verifies the
-rebuilt digest against the recorded one epoch by epoch — so the recovered
-service serves contributions bit-for-bit equal to an uninterrupted run of
-the same prefix (``np.array_equal``; CI kills the server with SIGKILL
-mid-ingest to prove it).  A digest mismatch means the log file changed
-since the WAL was written and raises :class:`RecoveryError` rather than
-silently serving different numbers.
+:func:`recover` re-registers every run and pushes each logged row — no
+file read, no estimator run — checking every chain link,
+``SHA-256(d_{t-1} ‖ h_t) == d_t``, so the recovered service serves
+answers ``np.array_equal`` to the pre-crash ones; a broken link raises
+:class:`RecoveryError` rather than serve different numbers.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from repro.io import json_checksum
 
 REGISTER = "register"
 INGEST = "ingest"
 _KINDS = frozenset({REGISTER, INGEST})
+# The fields every record of the current format carries; a WAL written
+# before records carried contribution rows lacks some and is refused.
+FIELDS = {
+    REGISTER: ("run_id", "kind", "estimator", "estimator_options", "digest_seed"),
+    INGEST: ("run_id", "epoch", "row", "counters", "hash", "digest"),
+}
 
 
 class WalCorruption(RuntimeError):
@@ -56,13 +57,23 @@ class WalCorruption(RuntimeError):
 
 
 class RecoveryError(RuntimeError):
-    """The WAL replayed, but the world no longer matches it.
+    """A WAL record does not extend its run's chain, or cannot be applied.
 
-    Typically: a training-log file referenced by a ``register`` record is
-    missing epochs the WAL says were ingested, or its content digest no
-    longer matches the recorded one.  Recovery refuses rather than serve
-    numbers that differ from what the pre-crash service acknowledged.
+    Recovery refuses rather than serve numbers that differ from what the
+    pre-crash service acknowledged.
     """
+
+
+def encode_row(row: np.ndarray) -> str:
+    """A float64 row as base64 of its exact bytes: unlike JSON numbers,
+    it carries ``-0.0``, infinities and NaN payloads bit for bit."""
+    return base64.b64encode(np.asarray(row, dtype="<f8").tobytes()).decode()
+
+
+def decode_row(text: str) -> np.ndarray:
+    """The row :func:`encode_row` encoded, bit for bit (a writable copy)."""
+    raw = base64.b64decode(text, validate=True)
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -157,12 +168,10 @@ def scan_wal(path: str | Path) -> tuple[list[WalEntry], int, bool]:
 
 @dataclass
 class RecoveryReport:
-    """What :func:`recover` rebuilt, and what it had to leave behind."""
+    """What :func:`recover` rebuilt."""
 
     runs_restored: int = 0
     epochs_replayed: int = 0
-    runs_skipped: list = field(default_factory=list)
-    epochs_skipped: int = 0
     tail_dropped: bool = False
 
     def summary(self) -> str:
@@ -170,10 +179,6 @@ class RecoveryReport:
             f"recovered {self.runs_restored} run(s), "
             f"{self.epochs_replayed} epoch(s) replayed"
         )
-        if self.runs_skipped:
-            line += f"; skipped runs: {', '.join(self.runs_skipped)}"
-        if self.epochs_skipped:
-            line += f"; {self.epochs_skipped} unreplayable epoch record(s)"
         if self.tail_dropped:
             line += "; torn tail record dropped"
         return line
@@ -185,12 +190,9 @@ class WriteAheadLog:
     One WAL file (``serve.wal`` inside ``directory``) serves one
     :class:`EvaluationService` process at a time.  Opening an existing
     file resumes its sequence numbers and truncates any torn tail, so
-    append-after-recovery keeps the file replayable.  Every record is
-    written and flushed as it is appended; the ``fsync`` is per commit —
-    an :meth:`append` commits its own record unless told ``sync=False``,
-    and :meth:`commit` then makes every record written so far durable
-    with one ``fsync``.  ``fsync=False`` skips the ``fsync`` altogether,
-    for speed in benchmarks; the CLI always runs fsync'd.
+    append-after-recovery keeps the file replayable.  ``fsync=False``
+    skips the ``fsync`` altogether, for speed in benchmarks; the CLI
+    always runs fsync'd.
     """
 
     FILENAME = "serve.wal"
@@ -199,7 +201,7 @@ class WriteAheadLog:
         self.directory = Path(directory)
         self.fsync = fsync
         self.directory.mkdir(parents=True, exist_ok=True)
-        entries, good_bytes, torn = self._scan()
+        entries, good_bytes, torn = scan_wal(self.path)
         self._next_seq = (entries[-1].seq + 1) if entries else 1
         self.tail_dropped = torn
         if torn:
@@ -292,19 +294,8 @@ class WriteAheadLog:
     # ------------------------------------------------------------ reading
 
     def replay(self) -> list[WalEntry]:
-        """All validated entries, oldest first.
-
-        A bad or truncated *final* line is the expected signature of a
-        kill mid-append; it was dropped (with a :class:`UserWarning`) and
-        truncated away when this handle was opened.  A bad line with
-        valid records after it raises :class:`WalCorruption`.
-        """
-        entries, _, _ = self._scan()
-        return entries
-
-    def _scan(self) -> tuple[list[WalEntry], int, bool]:
-        """(valid entries, byte length of the valid prefix, torn tail?)."""
-        return scan_wal(self.path)
+        """All validated entries, oldest first (see :func:`scan_wal`)."""
+        return scan_wal(self.path)[0]
 
     def frames_from(self, from_seq: int, *, limit: int = 512) -> dict:
         """Validated frames with ``seq >= from_seq``, for ``GET /wal/stream``.
@@ -339,18 +330,10 @@ class WriteAheadLog:
 def recover(service, wal: WriteAheadLog, *, applier=None) -> RecoveryReport:
     """Rebuild ``service``'s registry from ``wal``; returns a report.
 
-    The service must be fresh (no WAL attached yet — the caller attaches
-    it *after* recovery so replayed ingests are not re-logged).  Runs
-    whose log file has vanished are skipped and reported, not fatal:
-    losing one file must not take down recovery of the rest.  Digest
-    mismatches are fatal (:class:`RecoveryError`) — they mean the bytes
-    behind an acknowledged prefix changed.
-
-    ``applier`` lets a cluster worker pass the
-    :class:`~repro.serve.replication.WalApplier` it will keep using for
-    streaming replication / adoption, so recovery warms the applier's
-    run-spec cache — a restarted standby can then apply fresh ingest
-    frames for runs it recovered locally.
+    The service must be fresh: the caller attaches the WAL *after*
+    recovery, so replayed records are not re-logged.  ``applier`` is the
+    :class:`~repro.serve.replication.WalApplier` a cluster worker keeps
+    using for replication and adoption.
     """
     # Imported here: replication imports this module; recover is the only
     # hop back, so the lazy import keeps both importable in either order.
@@ -358,19 +341,13 @@ def recover(service, wal: WriteAheadLog, *, applier=None) -> RecoveryReport:
 
     if service.wal is not None:
         raise ValueError("recover() needs a service without an attached WAL")
-    report = RecoveryReport(tail_dropped=wal.tail_dropped)
-    # One wal.replay span covers the scan and every replayed record; it is
-    # thread-local-active here, so the serve.ingest spans the replay loop
-    # triggers all parent under it — recovery reads as a single trace.
+    applier = applier if applier is not None else WalApplier(service)
+    # One wal.replay span covers the scan and every replayed record.
     with service.obs.tracer.span("wal.replay", path=str(wal.path)) as replay_span:
         entries = wal.replay()
         replay_span.set_attribute("entries", len(entries))
-        if applier is None:
-            applier = WalApplier(service)
         for entry in entries:
             applier.apply(entry)
-    report.runs_restored = applier.runs_restored
-    report.epochs_replayed = applier.epochs_replayed
-    report.runs_skipped = list(applier.runs_skipped)
-    report.epochs_skipped = applier.epochs_skipped
-    return report
+    return RecoveryReport(
+        applier.runs_restored, applier.epochs_replayed, wal.tail_dropped
+    )

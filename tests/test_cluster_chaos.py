@@ -161,3 +161,23 @@ def test_sigkill_mid_ingest_replays_bit_identical(vfl_log, tmp_path):
         supervisor.stop()
     for entry in supervisor.describe()["shards"].values():
         assert not entry["alive"]
+
+
+def test_sigint_leaves_workers_serving_and_sigterm_still_stops_them(tmp_path):
+    """A Ctrl-C reaches the whole foreground process group: the workers
+    must ignore it (the router drains on it), so none dies and none is
+    respawned; the supervisor's own stop still takes them down."""
+    supervisor = ClusterSupervisor(
+        1, wal_root=tmp_path / "wals", probe_interval_s=0.2, probe_reset_s=1.0
+    )
+    supervisor.start()
+    try:
+        pid = supervisor.describe()["shards"]["0"]["pid"]
+        os.kill(pid, signal.SIGINT)
+        time.sleep(2.0)  # ten probe intervals: time enough to see a death
+        entry = supervisor.describe()["shards"]["0"]
+        assert entry["alive"] and entry["pid"] == pid
+        assert entry["respawns"] == 0
+    finally:
+        supervisor.stop()
+    assert not supervisor.describe()["shards"]["0"]["alive"]

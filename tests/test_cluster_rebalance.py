@@ -365,11 +365,22 @@ def test_a_diverged_adopt_answers_409_and_keeps_the_old_ring(vfl_log, tmp_path):
         c for c in (f"vfl-dv-{i}" for i in range(60))
         if HashRing(range(2)).shard_for(c) == 1
     )
-    # The WAL directory shard 1 will boot from already holds a shorter,
-    # different run under the mover's id: adopting the real one diverges.
+    # The WAL directory shard 1 will boot from already holds a different
+    # run under the mover's id: the real epoch 1, then an epoch 2 of other
+    # bytes.  Adopting the real run diverges at that epoch.
+    first, second = full.records[:2]
+    forked = type(second)(
+        epoch=second.epoch,
+        lr=second.lr,
+        theta_before=second.theta_before,
+        train_gradient=second.train_gradient * 2.0,
+        val_gradient=second.val_gradient,
+        weights=second.weights,
+        participation=second.participation,
+    )
     short_path = tmp_path / "short.npz"
     save_vfl_training_log(
-        VFLTrainingLog(full.feature_blocks, full.active_parties, full.records[:2]),
+        VFLTrainingLog(full.feature_blocks, full.active_parties, [first, forked]),
         short_path,
     )
     planted = WriteAheadLog(tmp_path / "wals" / "shard-1")

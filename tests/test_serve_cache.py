@@ -122,19 +122,19 @@ class TestRunDigest:
         log = _build_hfl_log()
         a, b = RunDigest("hfl"), RunDigest("hfl")
         for record in log.records:
-            a.update_hfl(record)
-            b.update_hfl(record)
+            a = a.update_hfl(record)
+            b = b.update_hfl(record)
         assert a.hexdigest() == b.hexdigest()
         assert a.epochs == len(log.records)
 
     def test_any_changed_byte_diverges(self):
         log = _build_hfl_log()
-        a, b = RunDigest("hfl"), RunDigest("hfl")
-        a.update_hfl(log.records[0])
         perturbed = _build_hfl_log()
         perturbed.records[0].local_updates[0, 0] += 1e-9
-        b.update_hfl(perturbed.records[0])
+        a = RunDigest("hfl").update_hfl(log.records[0])
+        b = RunDigest("hfl").update_hfl(perturbed.records[0])
         assert a.hexdigest() != b.hexdigest()
+        assert a.record_hash != b.record_hash
 
     def test_seed_parts_separate_estimator_options(self):
         assert (
@@ -143,19 +143,29 @@ class TestRunDigest:
         )
 
     def test_hexdigest_is_a_snapshot_not_a_finalise(self):
-        """Reading the digest mid-stream must not corrupt later updates."""
+        """A link is a value: extending it leaves it as it was, and the
+        chain resumes from a recorded hex digest alone."""
         log = _build_vfl_log()
-        a, b = RunDigest("vfl"), RunDigest("vfl")
-        for record in log.records:
-            a.update_vfl(record)
-            a.hexdigest()  # interleaved reads
-            b.update_vfl(record)
-        assert a.hexdigest() == b.hexdigest()
+        seed = RunDigest("vfl")
+        first = seed.update_vfl(log.records[0])
+        assert seed.hexdigest() == RunDigest("vfl").hexdigest()
+        assert seed.epochs == 0
+        resumed = RunDigest.resume(first.hexdigest(), first.epochs)
+        a, b = first, resumed
+        for record in log.records[1:]:
+            a, b = a.update_vfl(record), b.update_vfl(record)
+        assert a.hexdigest() == b.hexdigest() and a.epochs == b.epochs
 
     def test_prefix_digests_differ_per_epoch(self):
         log = _build_hfl_log()
         digest = RunDigest("hfl")
-        states = [digest.update_hfl(record) for record in log.records]
+        states = []
+        for record in log.records:
+            link = digest.update_hfl(record)
+            # d_t = SHA-256(d_{t-1} || h_t), with h_t logged beside it.
+            assert link.hexdigest() == digest.extend(link.record_hash).hexdigest()
+            digest = link
+            states.append(link.hexdigest())
         assert len(set(states)) == len(states)
 
 

@@ -415,7 +415,6 @@ class TestGroupCommit:
         monkeypatch.setattr(os, "fsync", recording)
         inputs = load_spec(service, _vfl_spec(vfl_path, "cut"))
         run_id = inputs.register(service)
-        service.record_registration(inputs.record | {"run_id": run_id}, sync=False)
         with pytest.raises(DeadlineExceeded) as cut:
             service.ingest_log(run_id, inputs.log, deadline=CutAfter())
         assert cut.value.progress == {"epochs_ingested": k}

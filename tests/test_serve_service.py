@@ -45,6 +45,37 @@ class TestRegistration:
         assert summary["epochs"] == hfl_result.log.n_epochs
         assert summary["participants"] == list(hfl_result.log.participant_ids)
 
+    @pytest.mark.parametrize("estimator", ["digfl", "gtg_shapley", "dpvs"])
+    def test_one_model_per_registration_and_the_same_architecture(
+        self, service, hfl_federation, estimator
+    ):
+        """The architecture string comes off the estimator's own model:
+        one ``model_factory()`` call per registration, and the digest
+        seed still names ``{class}:{parameter count}``."""
+        from repro.core.backends import get_backend
+        from repro.serve import RunDigest, fingerprint_arrays
+
+        calls = []
+
+        def counting_factory():
+            calls.append(1)
+            return small_model_factory()
+
+        validation = hfl_federation.validation
+        run_id = service.register_hfl(
+            [0, 1, 2], validation, counting_factory, estimator=estimator
+        )
+        assert len(calls) == 1
+        model = small_model_factory()
+        want = RunDigest(
+            "hfl",
+            get_backend(estimator).digest_token(),
+            "use_logged_weights=False",
+            fingerprint_arrays(X=validation.X, y=validation.y),
+            f"{type(model).__name__}:{model.num_parameters()}",
+        )
+        assert service.run_digest(run_id) == want.hexdigest()
+
     def test_duplicate_run_id_rejected(self, service, vfl_result):
         service.register_vfl_log(vfl_result.log, run_id="r")
         with pytest.raises(ValueError, match="already registered"):

@@ -2,29 +2,45 @@
 
 The acceptance contract: kill a serving process at any moment — even
 mid-append, tearing the final WAL record — and ``recover`` rebuilds the
-registry and replays each run's saved log to the *exact* ingested epoch,
-with ``np.array_equal`` contributions against the uninterrupted service.
-Corruption anywhere before the tail refuses to replay; a log file whose
-bytes changed since the crash refuses to serve different numbers.
+registry from the logged rows to the *exact* ingested epoch, with
+``np.array_equal`` contributions against the uninterrupted service.  The
+WAL holds the answer, so recovery reads no training-log file: a deleted
+or rewritten log and an in-process (publisher-fed) run all come back.
+Corruption anywhere before the tail refuses to replay; a digest that does
+not extend its run's hash chain refuses to serve different numbers.
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.io import save_vfl_training_log
 from repro.serve import EvaluationService, WriteAheadLog, recover
 from repro.serve.http import register_from_spec
+from repro.serve.service import MissingRunInputs
 from repro.serve.wal import (
     INGEST,
     REGISTER,
     RecoveryError,
     WalCorruption,
+    WalEntry,
+    decode_row,
+    encode_row,
     scan_wal,
     validate_wal_record,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 pytestmark = pytest.mark.timeout(180)  # inert without pytest-timeout (CI has it)
 
@@ -252,7 +268,6 @@ class TestRecovery:
         report = recover(after, WriteAheadLog(tmp_path / "wal"))
         assert report.runs_restored == 1
         assert report.epochs_replayed == vfl_result.log.n_epochs
-        assert not report.runs_skipped
         assert "recovered 1 run(s)" in report.summary()
         assert np.array_equal(after.report("crashme").totals, want)
         after.close()
@@ -281,7 +296,6 @@ class TestRecovery:
             vfl_result.log.active_parties,
             run_id="partial",
         )
-        before.record_registration(self._spec(vfl_log_path, run_id))
         for record in vfl_result.log.records[:k]:
             before.ingest(run_id, record)
         want = before.report(run_id).totals  # the k-epoch prefix numbers
@@ -315,7 +329,6 @@ class TestRecovery:
             vfl_result.log.active_parties,
             run_id="resume",
         )
-        before.record_registration(self._spec(vfl_log_path, "resume"))
         for record in vfl_result.log.records[:k]:
             before.ingest("resume", record)
         _abandon(before)
@@ -331,33 +344,29 @@ class TestRecovery:
         assert entries[-1].payload["epoch"] == k + 1
         after.close()
 
-    def test_missing_log_file_skips_the_run_not_recovery(
-        self, tmp_path, vfl_log_path, vfl_result
+    def test_a_deleted_log_file_still_recovers_the_run(
+        self, tmp_path, vfl_log_path
     ):
-        import os
-
         before = EvaluationService(wal=WriteAheadLog(tmp_path / "wal"))
         register_from_spec(before, self._spec(vfl_log_path, "doomed"))
+        want = before.report("doomed").totals
         _abandon(before)
         os.remove(vfl_log_path)
 
         after = EvaluationService()
         report = recover(after, WriteAheadLog(tmp_path / "wal"))
-        assert report.runs_restored == 0
-        assert len(report.runs_skipped) == 1
-        assert "doomed" in report.runs_skipped[0]
-        assert report.epochs_skipped == vfl_result.log.n_epochs
-        assert "skipped runs" in report.summary()
-        assert after.runs() == []
+        assert report.runs_restored == 1
+        assert np.array_equal(after.report("doomed").totals, want)
         after.close()
 
-    def test_changed_log_file_is_a_digest_mismatch(
+    def test_a_rewritten_log_file_changes_no_recovered_answer(
         self, tmp_path, vfl_log_path, vfl_result
     ):
         from repro.vfl.log import VFLTrainingLog
 
         before = EvaluationService(wal=WriteAheadLog(tmp_path / "wal"))
         register_from_spec(before, self._spec(vfl_log_path, "mutated"))
+        want = before.report("mutated").totals
         _abandon(before)
         # Rewrite the log with a perturbed record: same shape, new bytes.
         records = list(vfl_result.log.records)
@@ -367,7 +376,7 @@ class TestRecovery:
             lr=tampered.lr,
             theta_before=tampered.theta_before + 1e-9,
             train_gradient=tampered.train_gradient,
-            val_gradient=tampered.val_gradient,
+            val_gradient=tampered.val_gradient * 2.0,
             weights=tampered.weights,
             participation=tampered.participation,
         )
@@ -380,7 +389,35 @@ class TestRecovery:
             vfl_log_path,
         )
         after = EvaluationService()
+        recover(after, WriteAheadLog(tmp_path / "wal"))
+        assert np.array_equal(after.report("mutated").totals, want)
+        after.close()
+
+    def test_a_tampered_digest_is_refused(self, tmp_path, vfl_log_path):
+        before = EvaluationService(wal=WriteAheadLog(tmp_path / "wal"))
+        register_from_spec(before, self._spec(vfl_log_path, "forged"))
+        _abandon(before)
+        path = tmp_path / "wal" / WriteAheadLog.FILENAME
+        lines = path.read_bytes().splitlines()
+        # A well-formed record (valid checksum) whose digest is not the
+        # next link of its run's chain.
+        entry = validate_wal_record(json.loads(lines[2]))
+        forged = WalEntry(entry.seq, INGEST, dict(entry.payload, digest="0" * 64))
+        lines[2] = json.dumps(forged.frame(), sort_keys=True).encode()
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        after = EvaluationService()
         with pytest.raises(RecoveryError, match="digest"):
+            recover(after, WriteAheadLog(tmp_path / "wal"))
+        after.close()
+
+    def test_a_wal_without_rows_is_refused_at_its_first_record(self, tmp_path):
+        """The format written before records carried rows: a register
+        spec, then ingests holding only (run_id, epoch, digest)."""
+        with WriteAheadLog(tmp_path / "wal") as wal:
+            wal.append(REGISTER, {"kind": "vfl", "log_path": "x.npz", "run_id": "r"})
+            wal.append(INGEST, {"run_id": "r", "epoch": 1, "digest": "d"})
+        after = EvaluationService()
+        with pytest.raises(RecoveryError, match="seq 1 .*digest_seed"):
             recover(after, WriteAheadLog(tmp_path / "wal"))
         after.close()
 
@@ -391,20 +428,171 @@ class TestRecovery:
             recover(service, wal)
         service.close()
 
-    def test_live_published_runs_have_no_log_to_replay(
+    def test_live_published_runs_recover_bit_for_bit(
         self, tmp_path, vfl_result
     ):
-        """Ingest records for runs registered out-of-band (live publisher
-        runs, no POST spec) are counted, not fatal."""
+        """Runs registered in process and fed by a publisher get a
+        register record too, so they come back like POSTed ones — and a
+        restored VFL run keeps ingesting from its register record."""
+        log = vfl_result.log
         before = EvaluationService(wal=WriteAheadLog(tmp_path / "wal"))
-        run_id = before.register_vfl(
-            vfl_result.log.feature_blocks, vfl_result.log.active_parties
-        )
-        before.ingest(run_id, vfl_result.log.records[0])
+        run_id = before.register_vfl(log.feature_blocks, log.active_parties)
+        publisher = before.publisher(run_id)
+        for record in log.records[:3]:
+            assert not publisher.publish(record).get("dead_letter")
+        want = before.report(run_id).totals
         _abandon(before)
 
         after = EvaluationService()
         report = recover(after, WriteAheadLog(tmp_path / "wal"))
-        assert report.runs_restored == 0
-        assert report.epochs_skipped == 1
+        assert (report.runs_restored, report.epochs_replayed) == (1, 3)
+        assert np.array_equal(after.report(run_id).totals, want)
+        after.ingest_log(run_id, log)
+        full = EvaluationService()
+        full_id = full.register_vfl_log(log)
+        assert np.array_equal(
+            after.report(run_id).totals, full.report(full_id).totals
+        )
+        full.close()
         after.close()
+
+    def test_a_restored_in_process_hfl_run_serves_but_refuses_ingest(
+        self, tmp_path, hfl_result, hfl_federation
+    ):
+        from tests.conftest import small_model_factory
+
+        log = hfl_result.log
+        before = EvaluationService(wal=WriteAheadLog(tmp_path / "wal"))
+        run_id = before.register_hfl(
+            log.participant_ids, hfl_federation.validation, small_model_factory
+        )
+        for record in log.records[:2]:
+            before.ingest(run_id, record)
+        want = before.contributions(run_id)
+        _abandon(before)
+
+        after = EvaluationService()
+        recover(after, WriteAheadLog(tmp_path / "wal"))
+        assert after.contributions(run_id) == want
+        with pytest.raises(MissingRunInputs, match="no validation set"):
+            after.ingest(run_id, log.records[2])
+        assert after.contributions(run_id) == want
+        after.close()
+
+    def test_a_restored_posted_hfl_run_rebuilds_its_inputs_on_a_live_epoch(
+        self, tmp_path
+    ):
+        from repro.experiments.workloads import build_hfl_workload
+        from repro.hfl.log import TrainingLog
+        from repro.io import save_training_log
+
+        log = build_hfl_workload(
+            "mnist", n_parties=3, epochs=4, n_samples=300, seed=5
+        ).result.log
+        path = tmp_path / "hfl_run.npz"
+        save_training_log(TrainingLog(log.participant_ids, log.records[:2]), path)
+        spec = {"kind": "hfl", "log_path": str(path), "dataset": "mnist",
+                "seed": 5, "n_samples": 300, "run_id": "grow"}
+        before = EvaluationService(wal=WriteAheadLog(tmp_path / "wal"))
+        register_from_spec(before, spec)
+        _abandon(before)
+        os.remove(path)
+
+        after = EvaluationService()
+        recover(after, WriteAheadLog(tmp_path / "wal"))
+        after.ingest_log("grow", log)
+        full = EvaluationService()
+        save_training_log(log, path)
+        register_from_spec(full, dict(spec, run_id="full"))
+        assert np.array_equal(
+            after.report("grow").totals, full.report("full").totals
+        )
+        assert after.run_digest("grow") == full.run_digest("full")
+        full.close()
+        after.close()
+
+
+_PUBLISHER_CHILD = """
+import json, sys, time
+from repro.data import build_hfl_federation, mnist_like
+from repro.hfl import HFLTrainer
+from repro.nn import LRSchedule, make_mlp_classifier
+from repro.serve import EvaluationService, WriteAheadLog
+
+def factory():
+    return make_mlp_classifier(100, 10, hidden=(8,), seed=0)
+
+federation = build_hfl_federation(mnist_like(400, seed=0), 5, n_mislabeled=1, seed=7)
+log = HFLTrainer(factory, epochs=5, lr_schedule=LRSchedule(0.5)).train(
+    federation.locals, federation.validation
+).log
+service = EvaluationService(wal=WriteAheadLog(sys.argv[1]))
+answers = {}
+for name, options in (
+    ("digfl", {}),
+    ("gtg_shapley", {"max_permutations": 4}),
+    ("dpvs", {"permutations": 3, "warmup_rounds": 1,
+              "prune_below": 0.3, "revive_above": 0.6}),
+):
+    run_id = service.register_hfl(
+        log.participant_ids, federation.validation, factory,
+        run_id=name, estimator=name, estimator_options=options,
+    )
+    publisher = service.publisher(run_id)
+    for record in log.records:
+        assert not publisher.publish(record).get("dead_letter")
+    report = service.report(run_id)
+    answers[run_id] = {"totals": report.totals.tobytes().hex(), "extra": report.extra}
+print(json.dumps(answers), flush=True)
+time.sleep(600)
+"""
+
+
+def test_sigkill_with_publisher_fed_runs_recovers_them_bit_for_bit(tmp_path):
+    """A real SIGKILL of a process whose runs were all fed in process:
+    recovery brings back every run, ``report().extra`` included."""
+    child = subprocess.Popen(
+        [sys.executable, "-c", _PUBLISHER_CHILD, str(tmp_path / "wal")],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        answers = json.loads(child.stdout.readline())
+    finally:
+        child.send_signal(signal.SIGKILL)
+        child.wait(timeout=30)
+        child.stdout.close()
+    assert child.returncode == -signal.SIGKILL
+
+    service = EvaluationService()
+    report = recover(service, WriteAheadLog(tmp_path / "wal"))
+    assert report.runs_restored == 3
+    for run_id, want in answers.items():
+        got = service.report(run_id)
+        assert got.totals.tobytes().hex() == want["totals"], run_id
+        assert json.loads(json.dumps(got.extra)) == want["extra"], run_id
+    assert answers["dpvs"]["extra"]["dpvs"]["prune_events"] > 0
+    service.close()
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, np.inf, -np.inf]
+
+
+@given(
+    bits=arrays(np.uint64, st.integers(0, 12), elements=st.integers(0, 2**64 - 1))
+)
+@example(bits=np.array(_SPECIAL_FLOATS).view(np.uint64))
+@example(bits=np.array([0x7FF8000000000001, 0xFFF0000000000ABC], dtype=np.uint64))
+def test_any_float64_row_round_trips_a_wal_frame_bit_for_bit(tmp_path_factory, bits):
+    """Every float64 bit pattern — -0.0, subnormals, ±inf, any NaN
+    payload — survives the WAL file and the checksummed frame path
+    ``/wal/stream`` and ``/control/adopt`` ship."""
+    row = bits.view(np.float64)
+    directory = tmp_path_factory.mktemp("row")
+    with WriteAheadLog(directory, fsync=False) as wal:
+        wal.append(INGEST, {"run_id": "r", "epoch": 1, "row": encode_row(row)})
+        (frame,) = wal.frames_from(1)["frames"]
+    entry = validate_wal_record(json.loads(json.dumps(frame)), expected_seq=1)
+    assert entry is not None
+    assert decode_row(entry.payload["row"]).tobytes() == row.tobytes()

@@ -2,7 +2,7 @@
 
 The :mod:`repro.obs` contract is that *disabled* tracing is a no-op: the
 shipping default (``Observability()`` — tracing off, metrics and
-profiling on) must answer warm cached queries and ingest epochs at the
+profiling on) must answer warm queries and ingest epochs at the
 same speed as uninstrumented code.  Two gates pin that down (both
 enforced in CI via ``--check``):
 
@@ -17,7 +17,7 @@ enforced in CI via ``--check``):
    it.
 
 The cost of *enabled* tracing is reported for information only on both
-paths: a warm hit is ~5µs, so two live spans roughly double it, and one
+paths: a warm read is ~5µs, so three live spans roughly double it, and one
 live span plus three phase timers add a few percent to a small cell's
 ingest — which is exactly why tracing defaults to off.
 
@@ -85,19 +85,18 @@ def _bare_query_batch(service, run_id) -> float:
     """The warm-query loop minus the ``tracer.enabled`` check.
 
     Replicates exactly what ``query()`` did before instrumentation —
-    open check, method validation, straight into the admission ladder
-    with no root span — so the measured delta against
+    open check, method validation, straight into admission and the
+    snapshot read with no root span — so the measured delta against
     :func:`_query_batch` is precisely the cost disabled tracing adds.
     """
-    admit = service._admit_and_run
+    admit = service._admitted
     ensure_open = service._ensure_open
     start = time.perf_counter()
     for _ in range(BATCH_QUERIES):
         ensure_open()
-        allowed = {"contributions", "leaderboard", "weights"}
-        if "leaderboard" not in allowed:
+        if "leaderboard" not in ("contributions", "leaderboard", "weights"):
             raise ValueError
-        admit("leaderboard", (run_id,), {}, None)
+        admit(getattr(service, "leaderboard"), (run_id,), {}, None)
     return time.perf_counter() - start
 
 
@@ -111,13 +110,11 @@ def _measure_warm_query():
     ):
         disabled_id = _register(disabled, cell)
         traced_id = _register(traced, cell)
-        disabled.query("leaderboard", disabled_id)  # populate both caches
-        traced.query("leaderboard", traced_id)
         bare_s = disabled_s = traced_s = float("inf")
         # Interleave so clock drift and allocator state hit all sides
         # equally; compare best-of over the pairs (bench_resilience.py
         # methodology).  The bare baseline runs on the *same* service as
-        # the disabled one — identical cache, identical run.
+        # the disabled one — identical snapshot, identical run.
         for _ in range(BATCHES):
             bare_s = min(bare_s, _bare_query_batch(disabled, disabled_id))
             disabled_s = min(disabled_s, _query_batch(disabled, disabled_id))
@@ -226,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     disabled_overhead = disabled_s / bare_s - 1.0
     per = 1e6 / BATCH_QUERIES
-    print(f"\nwarm cached query ({BATCH_QUERIES}/batch, best of {BATCHES}):")
+    print(f"\nwarm query ({BATCH_QUERIES}/batch, best of {BATCHES}):")
     print(f"  no tracer check : {bare_s * per:>7.2f} µs/query")
     print(
         f"  tracing disabled: {disabled_s * per:>7.2f} µs/query  "

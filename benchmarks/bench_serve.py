@@ -1,4 +1,4 @@
-"""Streaming ingest vs. batch recompute, cold vs. warm query cache.
+"""Streaming ingest vs. batch recompute; snapshot reads vs. batch recompute.
 
 The serving layer's two pitches, measured:
 
@@ -7,9 +7,9 @@ The serving layer's two pitches, measured:
    gradient and ``n`` dot products regardless of ``τ``, while a batch
    ``estimate_hfl_resource_saving`` call re-reads the whole prefix —
    O(τ) and growing.
-2. **Warm-cache queries**: a repeated leaderboard/contributions query is
-   answered from the content-addressed cache without touching the
-   estimator, ≥10× faster than recomputing the batch estimate.
+2. **Snapshot reads**: a leaderboard query is answered from the run's
+   published answer snapshot without touching the estimator, ≥10×
+   faster than recomputing the batch estimate.
 
 Run either way::
 
@@ -101,33 +101,26 @@ def test_bench_incremental_ingest_is_o1(benchmark, cell, tau):
 
 
 def test_bench_warm_cache_queries(benchmark, cell):
-    """Warm repeated queries beat batch recompute by ≥10×."""
+    """A snapshot read beats a batch recompute by ≥10×."""
     with EvaluationService() as service:
         run_id = service.register_hfl_log(
             cell.result.log, cell.federation.validation, cell.model_factory
         )
-        start = time.perf_counter()
-        cold = service.leaderboard(run_id)  # miss: populates the cache
-        cold_seconds = time.perf_counter() - start
+        first = service.leaderboard(run_id)
 
-        def warm():
+        def read():
             return service.leaderboard(run_id)
 
-        warm_payload = benchmark(warm)
-        assert warm_payload == cold
-        warm_seconds = benchmark.stats.stats.mean
+        payload = benchmark(read)
+        assert payload == first
+        read_seconds = benchmark.stats.stats.mean
         batch_seconds = min(_batch_recompute(cell, EPOCHS) for _ in range(3))
-        stats = service.cache.stats()
-        benchmark.extra_info["cold_query_sec"] = cold_seconds
-        benchmark.extra_info["speedup_vs_batch"] = batch_seconds / warm_seconds
-        benchmark.extra_info["cache_hits"] = stats["hits"]
-        assert stats["hits"] > 0
-        assert warm_seconds < cold_seconds
-        assert batch_seconds / warm_seconds >= 10.0
+        benchmark.extra_info["speedup_vs_batch"] = batch_seconds / read_seconds
+        assert batch_seconds / read_seconds >= 10.0
 
 
 def main() -> int:
-    """Standalone report: the ingest-scaling table and the cache speedup."""
+    """Standalone report: the ingest-scaling table and the snapshot speedup."""
     cell = build_hfl_workload(
         DATASET, n_parties=N_PARTIES, epochs=EPOCHS, n_samples=N_SAMPLES, seed=0
     )
@@ -146,18 +139,16 @@ def main() -> int:
         run_id = service.register_hfl_log(
             cell.result.log, cell.federation.validation, cell.model_factory
         )
-        service.leaderboard(run_id)
         start = time.perf_counter()
         for _ in range(WARM_QUERIES):
             service.leaderboard(run_id)
         warm = (time.perf_counter() - start) / WARM_QUERIES
         batch = min(_batch_recompute(cell, EPOCHS) for _ in range(3))
         print(
-            f"\nwarm cached leaderboard: {warm * 1e6:.0f} µs/query, "
+            f"\nsnapshot leaderboard read: {warm * 1e6:.0f} µs/query, "
             f"batch recompute {batch * 1e3:.1f} ms "
             f"({batch / warm:.0f}x slower)"
         )
-        print("cache stats:", service.cache.stats())
     return 0
 
 

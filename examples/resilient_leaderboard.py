@@ -1,17 +1,15 @@
-"""A leaderboard that survives a flaky estimator and a killed server.
+"""A leaderboard that survives a poisoned epoch and a killed server.
 
 Two failure stories the audit batch job cannot tell, on one 4-party
 MNIST-like cell:
 
-**Act 1 — degraded, never down.**  The serving process runs with the
-full resilience kit armed: per-query deadlines, a bounded admission
-queue, and a circuit breaker per run.  Mid-serving, the run's estimator
-turns hostile (seeded chaos injection: every compute raises).  Queries
-keep answering — the last good leaderboard, marked ``"stale": true`` —
-the breaker trips after two consecutive failures, ``/healthz`` flips to
-``degraded``, and the moment the estimator heals, one half-open probe
-closes the breaker and fresh numbers flow again.  No query ever saw a
-bare 500.
+**Act 1 — refused at the door, never down.**  Mid-serving, an epoch
+arrives poisoned (seeded chaos injection: its local updates are NaN).
+The service refuses it at ingest (``NonFiniteRow``) before it touches
+the run's rows, counters, digest or answer, so the leaderboard keeps
+serving every clean epoch and ``/healthz`` stays ``ok``.  Once the
+sender heals, the clean epoch lands and the live totals are bit for bit
+the batch audit of the whole log.
 
 **Act 2 — killed, recovered, bit-for-bit.**  A second service writes
 every registration and ingest to a write-ahead log (checksummed, and
@@ -29,6 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core import estimate_hfl_resource_saving
+from repro.core.streaming import NonFiniteRow
 from repro.experiments.workloads import build_hfl_workload
 from repro.hfl.log import TrainingLog
 from repro.io import save_training_log
@@ -48,59 +48,49 @@ N_SAMPLES = 300
 SEED = 0
 
 
-def act_one_degraded_serving(cell) -> None:
-    print("=== act 1: chaos at the estimator, stale answers, healing ===")
+def act_one_refused_epoch(cell) -> None:
+    print("=== act 1: a poisoned epoch is refused, the leaderboard serves on ===")
     log = cell.result.log
-    service = EvaluationService(
-        query_deadline_ms=250.0,
-        admission_limit=64,
-        breaker_failures=2,
-        breaker_reset_s=0.0,  # half-open immediately: heal on next probe
-    )
-    with service:
+    clean = EPOCHS - 2
+    with EvaluationService(admission_limit=64) as service:
         run_id = service.register_hfl(
             log.participant_ids, cell.federation.validation, cell.model_factory
         )
         service.ingest_log(
             run_id,
-            TrainingLog(
-                participant_ids=log.participant_ids,
-                records=log.records[: EPOCHS - 1],
-            ),
+            TrainingLog(participant_ids=log.participant_ids, records=log.records[:clean]),
         )
-        good = service.leaderboard(run_id)
+        good = service.query("leaderboard", run_id)
         leader = good["leaderboard"][0]
         print(
             f"epoch {good['epochs']}: leader is party {leader['participant']} "
-            f"({leader['contribution']:+.5f}), stale={good['stale']}"
+            f"({leader['contribution']:+.5f})"
         )
 
-        # The estimator turns hostile: every compute now raises.
-        policy = ChaosPolicy(seed=7, error_prob=1.0)
+        # The next epoch arrives poisoned: its updates are all NaN.
+        policy = ChaosPolicy(seed=7, corrupt_prob=1.0)
         inject_chaos(service, run_id, policy)
-        policy.disarm()
-        service.ingest(run_id, log.records[EPOCHS - 1])  # new epoch arrives
-        policy.arm()
-
-        for attempt in (1, 2):
-            stale = service.leaderboard(run_id)
-            print(
-                f"failure {attempt}: served last good leaderboard, "
-                f"stale={stale['stale']}, epochs={stale['epochs']}"
-            )
-        health = service.health()
-        breaker = service.stats()["breakers"][run_id]
+        try:
+            service.ingest(run_id, log.records[clean])
+        except NonFiniteRow as exc:
+            print(f"poisoned epoch {clean + 1} refused: {type(exc).__name__}")
+        board = service.query("leaderboard", run_id)
         print(
-            f"healthz status: {health['status']} "
-            f"(degraded runs: {health['degraded_runs']}, "
-            f"breaker opened {breaker['opens']}x)"
+            "leaderboard still serves every clean epoch: "
+            f"epochs={board['epochs']}, unchanged={board == good}"
         )
+        print(f"healthz status: {service.health()['status']}")
 
-        policy.disarm()  # the estimator heals; next query is the probe
-        fresh = service.leaderboard(run_id)
+        policy.disarm()  # the sender heals and re-sends
+        for record in log.records[clean:]:
+            service.ingest(run_id, record)
+        fresh = service.contributions(run_id)
+        batch = estimate_hfl_resource_saving(
+            log, cell.federation.validation, cell.model_factory
+        )
         print(
-            f"healed: stale={fresh['stale']}, epochs={fresh['epochs']}, "
-            f"healthz status: {service.health()['status']}"
+            f"healed: epochs={fresh['epochs']}, totals bit-for-bit equal "
+            f"batch audit: {fresh['totals'] == batch.totals.tolist()}"
         )
 
 
@@ -153,7 +143,7 @@ def main() -> None:
     cell = build_hfl_workload(
         DATASET, n_parties=N_PARTIES, epochs=EPOCHS, n_samples=N_SAMPLES, seed=SEED
     )
-    act_one_degraded_serving(cell)
+    act_one_refused_epoch(cell)
     with tempfile.TemporaryDirectory() as tmp:
         act_two_crash_and_recover(cell, Path(tmp))
 

@@ -326,8 +326,6 @@ def _cmd_serve(args) -> int:
             standby_replicas=args.replicas,
             drain_deadline_s=args.drain_deadline_s,
             cache_bytes=args.cache_mb * 1024 * 1024,
-            max_workers=args.query_workers,
-            query_deadline_ms=args.query_deadline_ms,
             admission_limit=args.max_queue,
             chaos_ingest_ms=args.chaos_ingest_ms,
             trace=args.trace,
@@ -339,8 +337,6 @@ def _cmd_serve(args) -> int:
     obs = Observability(trace=args.trace)
     service = EvaluationService(
         cache_bytes=args.cache_mb * 1024 * 1024,
-        max_workers=args.query_workers,
-        query_deadline_ms=args.query_deadline_ms,
         admission_limit=args.max_queue,
         obs=obs,
     )
@@ -740,11 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "this long for in-flight requests before "
                             "stopping (new requests get 503+Retry-After)")
     serve.add_argument("--cache-mb", type=int, default=64,
-                       help="result/gradient cache budget in MiB")
-    serve.add_argument("--query-workers", type=int, default=4,
-                       help="thread-pool size for asynchronous queries")
-    serve.add_argument("--query-deadline-ms", type=float, default=None,
-                       help="per-request deadline; overruns answer 504")
+                       help="gradient/log cache budget in MiB")
     serve.add_argument("--max-queue", type=int, default=None,
                        help="admission limit; a full queue sheds with 429")
     serve.add_argument("--wal-dir", metavar="DIR", default=None,

@@ -21,10 +21,12 @@ per-epoch row per record gets totals, leaderboards, reweight vectors and
 whole-log ingestion from it.
 
 Running state is O(τ·n): the per-epoch score rows (``n`` floats each, no
-gradients) plus one transient ``p``-vector per ingest for the validation
-gradient.  Thread safety is the caller's job —
+gradients), kept in one contiguous ``(τ, n)`` buffer that doubles when
+full, plus one transient ``p``-vector per ingest for the validation
+gradient.  A row holding NaN or ±inf is refused (:class:`NonFiniteRow`)
+before it is kept.  Thread safety is the caller's job —
 :class:`repro.serve.service.EvaluationService` holds a per-run lock around
-every ingest and query.
+every ingest.
 """
 
 from __future__ import annotations
@@ -44,6 +46,10 @@ from repro.obs.profile import NULL_PROFILER
 from repro.vfl.log import VFLEpochRecord
 
 
+class NonFiniteRow(ValueError):
+    """An epoch's contribution row holds NaN or ±inf; it is not kept."""
+
+
 class _StreamingBase:
     """Shared bookkeeping: per-epoch rows, totals, whole-log ingestion.
 
@@ -60,7 +66,10 @@ class _StreamingBase:
     def __init__(self, participant_ids: Sequence[int]) -> None:
         self.participant_ids = list(participant_ids)
         self.ledger = CostLedger()
-        self._rows: list[np.ndarray] = []
+        # Rows 0..τ-1 of one C-contiguous buffer; a prefix of it is laid
+        # out exactly as ``np.vstack`` of the rows, so sums match bit for bit.
+        self._buf = np.empty((4, len(self.participant_ids)))
+        self._t = 0
         # Phase timers around the ingest hot path (valgrad, dot products).
         # The service swaps in the run's profiler at registration; the
         # default records nothing.
@@ -72,7 +81,15 @@ class _StreamingBase:
 
     @property
     def n_epochs(self) -> int:
-        return len(self._rows)
+        return self._t
+
+    def rows(self) -> np.ndarray:
+        """A view of the ingested rows, not a copy.
+
+        Rows are only ever appended, so the view's contents never change;
+        callers must not write to it.
+        """
+        return self._buf[: self._t]
 
     def ingest_log(self, log, *, start: int = 0, memo_key: str | None = None) -> int:
         """Ingest ``log.records[start:]`` in order; returns epochs consumed.
@@ -91,23 +108,27 @@ class _StreamingBase:
         return log.n_epochs - start
 
     def per_epoch(self) -> np.ndarray:
-        """The (τ, n) per-epoch contribution matrix ingested so far."""
-        if not self._rows:
-            return np.empty((0, self.n_participants))
-        return np.vstack(self._rows)
+        """A copy of the (τ, n) per-epoch contribution matrix ingested so far."""
+        return self.rows().copy()
 
     def totals(self) -> np.ndarray:
         """Whole-process contributions (Eq. 15) over the ingested prefix.
 
-        Summed column-wise over the stacked matrix — the identical
-        reduction :func:`from_per_epoch` performs — so totals never drift
-        from what :meth:`report` says about the same prefix.
+        Summed column-wise over a view of the row buffer — the identical
+        reduction :func:`from_per_epoch` performs on the same layout — so
+        totals never drift from what :meth:`report` says about the prefix.
         """
-        return self.per_epoch().sum(axis=0)
+        return self.rows().sum(axis=0)
+
+    def latest_row(self) -> np.ndarray:
+        """A copy of the latest ingested epoch's row."""
+        if not self._t:
+            raise ValueError("no epochs ingested yet")
+        return self._buf[self._t - 1].copy()
 
     def report(self) -> ContributionReport:
         """The whole-process :class:`ContributionReport` of the prefix."""
-        if not self._rows:
+        if not self._t:
             raise ValueError("no epochs ingested yet")
         return from_per_epoch(
             self.method, self.participant_ids, self.per_epoch(), ledger=self.ledger
@@ -128,19 +149,13 @@ class _StreamingBase:
         latest per-epoch contributions pushed through the rectified
         projection (or the softmax ablation).
         """
-        if not self._rows:
-            raise ValueError("no epochs ingested yet")
-        if scheme == "rectified":
-            return rectified_weights(self._rows[-1])
-        if scheme == "softmax":
-            return softmax_weights(self._rows[-1], temperature)
-        raise ValueError(f"scheme must be 'rectified' or 'softmax', got {scheme!r}")
+        return reweight(self.latest_row(), scheme, temperature)
 
     def weight_history(self) -> np.ndarray:
         """(τ, n) matrix of the Eq. 17 weights after each ingested epoch."""
-        if not self._rows:
+        if not self._t:
             return np.empty((0, self.n_participants))
-        return np.vstack([rectified_weights(row) for row in self._rows])
+        return np.vstack([rectified_weights(row) for row in self.rows()])
 
     def counter_values(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in self.counters}
@@ -152,21 +167,45 @@ class _StreamingBase:
                 f"row of shape {np.shape(row)} for {self.n_participants} parties"
             )
         steps = {name: int(increments[name]) for name in self.counters}
+        self._push(row)
         for name, step in steps.items():
             setattr(self, name, getattr(self, name) + step)
-        self._push(row)
+
+    def rewind_counters(self, values: dict[str, int]) -> None:
+        """Put back counter values read before a refused or failed ingest."""
+        for name, value in values.items():
+            setattr(self, name, value)
 
     def adopt(self, other: "_StreamingBase") -> None:
         """Take over ``other``'s epochs: its rows, counters and profiler."""
         self.profiler = other.profiler
-        for row in other._rows:
+        for row in other.rows():
             self._push(row)
         for name in self.counters:
             setattr(self, name, getattr(other, name))
 
     def _push(self, row: np.ndarray) -> np.ndarray:
-        self._rows.append(row)
+        if not np.isfinite(row).all():
+            raise NonFiniteRow(
+                f"epoch {self._t + 1} holds a non-finite contribution "
+                f"(NaN or ±inf) in row {np.asarray(row).tolist()}; refused"
+            )
+        if self._t == len(self._buf):
+            grown = np.empty((2 * len(self._buf), self._buf.shape[1]))
+            grown[: self._t] = self._buf
+            self._buf = grown
+        self._buf[self._t] = row
+        self._t += 1
         return row
+
+
+def reweight(row: np.ndarray, scheme: str, temperature: float = 1.0) -> np.ndarray:
+    """Eq. 17–18 weights from one epoch's row: rectified or softmax."""
+    if scheme == "rectified":
+        return rectified_weights(row)
+    if scheme == "softmax":
+        return softmax_weights(row, temperature)
+    raise ValueError(f"scheme must be 'rectified' or 'softmax', got {scheme!r}")
 
 
 def fold_log(

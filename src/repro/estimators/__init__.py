@@ -24,8 +24,8 @@ the artifact ``repro compare`` prints and
 Every backend serves through the same
 :class:`~repro.serve.service.EvaluationService`: ``POST /runs`` takes an
 ``estimator:`` field (default ``digfl``), the backend name and options
-are folded into the run's content digest (so cached answers never leak
-between backends), and query payloads carry the answering backend.
+are folded into the run's content digest (so runs of different backends
+never share one), and query payloads carry the answering backend.
 """
 
 from repro.core.backends import (

@@ -13,24 +13,26 @@ per-epoch additivity (Lemma 3, Eq. 13–15) to make contributions
   backend of the :mod:`repro.estimators` registry, and ``POST /runs``
   accepts any registered backend via its ``estimator:`` field
   (``gtg_shapley``, ``dpvs``, ...), folding the backend name and options
-  into the run's cache digest;
+  into the run's content digest; an epoch whose row holds NaN or ±inf
+  is refused (:class:`~repro.core.streaming.NonFiniteRow`);
 * :mod:`~repro.serve.cache` — :class:`ResultCache`, a content-addressed
   LRU keyed on the same SHA-256 array hashes :mod:`repro.io` embeds in
   saved logs;
 * :mod:`~repro.serve.service` — :class:`EvaluationService`, the
   thread-safe in-process registry the :mod:`repro.runtime` engine
-  publishes live epochs into (``contrib_updated`` events);
+  publishes live epochs into (``contrib_updated`` events); each durable
+  epoch publishes an immutable answer that readers take without a lock;
 * :mod:`~repro.serve.http` — a stdlib ``ThreadingHTTPServer`` JSON API
   (``repro serve --port``);
-* :mod:`~repro.serve.resilience` — deadlines, admission control /
-  load shedding, per-run circuit breakers serving stale-but-consistent
-  answers, and the typed error family behind 429/503/504;
+* :mod:`~repro.serve.resilience` — the ingest deadline, admission
+  control / load shedding, the router's per-shard circuit breakers, and
+  the typed error family behind 429/503/504;
 * :mod:`~repro.serve.wal` — an fsync'd, checksummed write-ahead log and
   :func:`~repro.serve.wal.recover`, which rebuilds the registry after a
   crash to the exact ingested epoch (``repro serve --wal-dir --recover``);
-* :mod:`~repro.serve.chaos` — seeded fault injection (latency spikes,
-  raised errors, corrupted payloads) that proves every degraded-mode
-  behaviour deterministically;
+* :mod:`~repro.serve.chaos` — seeded fault injection at ingest (latency
+  spikes, raised errors, poisoned gradients) that proves every refusal
+  deterministically;
 * :mod:`~repro.serve.ring` — :class:`HashRing`, consistent hashing of
   run ids onto shards with minimal movement under membership change;
 * :mod:`~repro.serve.cluster` — sharded multi-process serving
@@ -87,10 +89,8 @@ _EXPORTS = {
             "AdmissionQueue",
             "Backoff",
             "CircuitBreaker",
-            "CircuitOpen",
             "Deadline",
             "DeadlineExceeded",
-            "QueryFailed",
             "RetryPolicy",
             "ServiceClosed",
             "ServiceOverloaded",

@@ -1,17 +1,18 @@
 """Content-addressed result cache with an LRU byte budget.
 
-Every query answer the service hands out is a pure function of *content*:
-the training-log prefix ingested so far (hashed with the same array scheme
-as the checksums :mod:`repro.io` embeds in ``.npz`` files), the validation
-set and model architecture, the estimator configuration, and the query
-parameters.  Keying the cache on those digests — never on run ids — means
-two runs registered from the same saved log share every cached answer and
-every memoised validation gradient, and a re-registration after a server
-restart is warm from the first query.
+What the service memoises is a pure function of *content*: a validation
+gradient of the model state it was taken at (namespaced by the
+validation set and model architecture), a parsed training log of its
+file's bytes, a validation set of its ``(dataset, seed, n_samples)``.
+Keying the cache on those digests — never on run ids — means two runs
+registered from the same saved log share every memoised validation
+gradient.  :class:`RunDigest` is the content identity of a run's
+ingested prefix (hashed with the same array scheme as the checksums
+:mod:`repro.io` embeds in ``.npz`` files), carried by the WAL's hash
+chain.
 
-The cache is a plain LRU over a byte budget: small (a few MB) because the
-cached values are per-party score vectors and JSON payloads, not
-gradients.  Hit/miss/eviction counters feed ``/metricz``.
+The cache is a plain LRU over a byte budget; each entry is charged its
+array bytes.  Hit/miss/eviction counters feed ``/metricz``.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class RunDigest:
     options, validation-set and model-architecture hashes); epoch ``t``
     extends it, ``d_t = SHA-256(d_{t-1} ‖ h_t)``, where ``h_t`` is the
     record's :func:`repro.io.hash_arrays` hash (the scheme of the ``.npz``
-    checksums), so identical logs collapse onto identical cache keys.
+    checksums), so identical logs collapse onto identical digests.
     Each update returns the next link and leaves this one as it was; the
     WAL logs every ``h_t`` and ``d_t``, so a restored run resumes its
     chain from the recorded digest (:meth:`resume`).
@@ -248,8 +249,8 @@ class CacheMemo(MutableMapping):
 
     Plugs a :class:`ResultCache` into memo-taking helpers like
     :func:`repro.core.valgrad.validation_gradients`, so validation
-    gradients share the budget — and the eviction policy — with query
-    results.  Deletion and iteration are unsupported (an LRU cache is not
+    gradients share the budget — and the eviction policy — with loaded
+    logs and validation sets.  Deletion and iteration are unsupported (an LRU cache is not
     an inventory); ``len`` reports the whole cache.
     """
 

@@ -1,30 +1,30 @@
-"""Deterministic fault injection for the serving layer.
+"""Deterministic fault injection at the serving layer's ingest boundary.
 
-The resilience machinery of :mod:`repro.serve.resilience` is only worth
-having if every behaviour — deadline 504s, load-shed 429s, breaker
-trips, stale-marked degraded answers, publisher dead-letters, WAL
-recovery — can be *provoked on demand and reproduced exactly*.  This
-module is that provocation: wrappers that sit at the estimator and sink
-boundaries and inject, on a seeded RNG,
+The service refuses failures where they enter — a failed or non-finite
+epoch changes nothing, and readers keep the last durable answer — so
+every fault worth provoking is an ingest fault.  This module provokes
+them on demand and reproduces them exactly: wrappers that sit at the
+estimator and sink boundaries and inject, on a seeded RNG,
 
-* **latency spikes** — a configurable sleep before the wrapped call
-  (the ``sleep`` function is injectable, so tests can fake time);
-* **raised exceptions** — :class:`ChaosError` from inside the compute;
-* **corrupted payloads** — NaN-poisoned contribution vectors, which the
-  service's payload validation must catch and treat as a failure rather
-  than cache or serve.
+* **latency spikes** — a configurable sleep before the wrapped ingest
+  (the ``sleep`` function is injectable, so tests can fake or block it);
+* **raised exceptions** — :class:`ChaosError` from inside the ingest;
+* **poisoned gradients** — the record's gradient (HFL
+  ``local_updates``, VFL ``train_gradient``) replaced by NaN, so the
+  epoch's row is non-finite and the service refuses it
+  (:class:`~repro.core.streaming.NonFiniteRow`).
 
 Decisions are drawn from ``np.random.default_rng(seed)`` in call order,
-so a chaos scenario is a pure function of (seed, call sequence) — the
-chaos test suite asserts breaker state *transitions*, not just
-distributions.  Nothing in this module is imported by the production
-path; it lives in the package (rather than under ``tests/``) so the CI
-chaos job, the benchmarks and ``examples/resilient_leaderboard.py`` can
-all drive the same harness.
+so a chaos scenario is a pure function of (seed, call sequence).
+Nothing in this module is imported by the production path; it lives in
+the package (rather than under ``tests/``) so the CI chaos job, the
+benchmarks and ``examples/resilient_leaderboard.py`` can all drive the
+same harness.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from typing import Callable
 
@@ -92,26 +92,21 @@ class ChaosPolicy:
             raise ChaosError(f"injected failure in {what}")
 
     def corrupt(self, value: np.ndarray) -> np.ndarray:
-        """Maybe NaN-poison a result vector (copy; never mutates input)."""
+        """Maybe NaN-poison an array: an all-NaN copy; never mutates input."""
         hit = self._rng.random() < self.corrupt_prob
         if not (self._armed and hit):
             return value
         self.injected["corrupt"] += 1
-        poisoned = np.array(value, dtype=np.float64, copy=True)
-        if poisoned.size:
-            poisoned.flat[int(self._rng.integers(poisoned.size))] = np.nan
-        return poisoned
+        return np.full(np.shape(value), np.nan)
 
 
 class ChaosEstimator:
-    """A streaming estimator with a :class:`ChaosPolicy` at every entry point.
+    """A streaming estimator with a :class:`ChaosPolicy` at its ingest.
 
     Wraps any ``_StreamingBase`` subclass; attribute access falls through
-    to the wrapped estimator, while the methods the service's compute
-    closures call (``ingest``, ``totals``, ``leaderboard``,
-    ``current_weights``, ``report``) first give the policy a chance to
-    delay or raise, and result vectors pass through ``corrupt``.  Install
-    with :func:`inject_chaos`.
+    to the wrapped estimator, while ``ingest`` first gives the policy a
+    chance to delay or raise, then hands on the record with its gradient
+    passed through ``corrupt``.  Install with :func:`inject_chaos`.
     """
 
     def __init__(self, inner, policy: ChaosPolicy) -> None:
@@ -123,36 +118,19 @@ class ChaosEstimator:
 
     def ingest(self, record, **kwargs):
         self.policy.before_call("ingest")
+        field = "local_updates" if hasattr(record, "local_updates") else "train_gradient"
+        gradient = getattr(record, field)
+        poisoned = self.policy.corrupt(gradient)
+        if poisoned is not gradient:
+            record = dataclasses.replace(record, **{field: poisoned})
         return self._inner.ingest(record, **kwargs)
-
-    def totals(self):
-        self.policy.before_call("totals")
-        return self.policy.corrupt(self._inner.totals())
-
-    def leaderboard(self, top=None):
-        self.policy.before_call("leaderboard")
-        totals = self.policy.corrupt(self._inner.totals())
-        order = np.argsort(totals)[::-1]
-        if top is not None:
-            order = order[:top]
-        return [(self._inner.participant_ids[i], float(totals[i])) for i in order]
-
-    def current_weights(self, scheme: str = "rectified", temperature: float = 1.0):
-        self.policy.before_call("current_weights")
-        return self.policy.corrupt(
-            self._inner.current_weights(scheme, temperature)
-        )
-
-    def report(self):
-        self.policy.before_call("report")
-        return self._inner.report()
 
 
 def inject_chaos(service, run_id: str, policy: ChaosPolicy) -> ChaosEstimator:
     """Wrap a registered run's estimator in chaos; returns the wrapper.
 
-    Takes the run's lock for the swap, so in-flight requests never see a
-    half-installed wrapper.
+    Takes the run's lock for the swap, so an in-flight ingest never sees
+    a half-installed wrapper.
     """
     run = service._run(run_id)
     with run.lock:

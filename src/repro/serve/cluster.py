@@ -137,8 +137,6 @@ class WorkerSpec:
     port: int
     wal_dir: str
     cache_bytes: int = 64 * 1024 * 1024
-    max_workers: int = 4
-    query_deadline_ms: float | None = None
     admission_limit: int | None = None
     chaos_ingest_ms: float = 0.0
     trace: bool = False
@@ -187,8 +185,6 @@ def _worker_main(spec: WorkerSpec) -> None:
     )
     service = EvaluationService(
         cache_bytes=spec.cache_bytes,
-        max_workers=spec.max_workers,
-        query_deadline_ms=spec.query_deadline_ms,
         admission_limit=spec.admission_limit,
         obs=obs,
     )
@@ -455,8 +451,6 @@ class ClusterSupervisor(StaticTopology):
         host: str = "127.0.0.1",
         standby_replicas: int = 0,
         cache_bytes: int = 64 * 1024 * 1024,
-        max_workers: int = 4,
-        query_deadline_ms: float | None = None,
         admission_limit: int | None = None,
         chaos_ingest_ms: float = 0.0,
         trace: bool = False,
@@ -486,8 +480,6 @@ class ClusterSupervisor(StaticTopology):
             port=0,
             wal_dir="",
             cache_bytes=cache_bytes,
-            max_workers=max_workers,
-            query_deadline_ms=query_deadline_ms,
             admission_limit=admission_limit,
             chaos_ingest_ms=chaos_ingest_ms,
             trace=trace,
@@ -1532,8 +1524,6 @@ def serve_cluster(
     standby_replicas: int = 0,
     drain_deadline_s: float = 10.0,
     cache_bytes: int = 64 * 1024 * 1024,
-    max_workers: int = 4,
-    query_deadline_ms: float | None = None,
     admission_limit: int | None = None,
     chaos_ingest_ms: float = 0.0,
     trace: bool = False,
@@ -1559,8 +1549,6 @@ def serve_cluster(
         host=host,
         standby_replicas=standby_replicas,
         cache_bytes=cache_bytes,
-        max_workers=max_workers,
-        query_deadline_ms=query_deadline_ms,
         admission_limit=admission_limit,
         chaos_ingest_ms=chaos_ingest_ms,
         trace=trace,

@@ -33,22 +33,22 @@ is ever a bare 500:
 * 429 + ``Retry-After`` — the admission queue shed the request
   (:class:`~repro.serve.resilience.ServiceOverloaded`); the header is
   computed from the query-latency p95 and the current queue depth.
-* 504 — the request overran its deadline
+* 504 — a batched ingest overran its deadline
   (:class:`~repro.serve.resilience.DeadlineExceeded`); the body carries
   the budget, the elapsed time, and any partial-progress counters.
 * 503 — the service is closed
-  (:class:`~repro.serve.resilience.ServiceClosed`) or the estimator
-  failed with no stale answer to fall back on
-  (:class:`~repro.serve.resilience.QueryFailed` /
-  :class:`~repro.serve.resilience.CircuitOpen`).
-* 411 — ``POST /runs`` without a ``Content-Length``; 413 — one above
-  ``MAX_BODY_BYTES``; 400 — malformed JSON bodies.
+  (:class:`~repro.serve.resilience.ServiceClosed`).
+* 400 — a ``POST /runs`` whose log holds an epoch with a non-finite
+  contribution (:class:`~repro.core.streaming.NonFiniteRow`, naming the
+  run and the epoch; the run keeps its durable prefix) or any other bad
+  spec; 411 — ``POST /runs`` without a ``Content-Length``; 413 — one
+  above ``MAX_BODY_BYTES``; 400 — malformed JSON bodies.
 * 404 — a path the door's table does not hold; 405 + ``Allow`` — a
   template it holds, asked with a method it does not route.
 
-The server is a :class:`ThreadingHTTPServer`: each request gets a thread,
-the service's admission queue, per-run locks and thread-safe cache do the
-rest.  Run it with ``python -m repro.cli serve --port 8733``; add
+The server is a :class:`ThreadingHTTPServer`: each request gets a thread;
+queries read the run's published answer snapshot without a lock, and the
+service's admission queue bounds them.  Run it with ``python -m repro.cli serve --port 8733``; add
 ``--wal-dir``/``--recover`` for a crash-recoverable registry.
 """
 
@@ -85,7 +85,6 @@ from repro.nn import make_hfl_model
 from repro.nn.models import Classifier
 from repro.serve.resilience import (
     DeadlineExceeded,
-    QueryFailed,
     ServiceClosed,
     ServiceOverloaded,
 )
@@ -114,10 +113,10 @@ DEFAULT_ROBUSTNESS_FILE = "BENCH_scenarios.json"
 # banners all read these.  A template's one wildcard is ``{id}``, and only
 # as its second segment.
 SHARED_ROUTES = {
-    "/healthz": {"GET": "_get_healthz"},  # ok / degraded / closed
+    "/healthz": {"GET": "_get_healthz"},  # worker: ok / closed; router: ok / degraded
     "/statusz": {"GET": "_get_statusz"},  # SLO verdicts, burn rates, exemplars
     "/robustness": {"GET": "_get_robustness"},  # scenario-matrix verdicts
-    # latency, cache, admission, breakers; ?format=prometheus for text
+    # latency, cache, admission; ?format=prometheus for text
     "/metricz": {"GET": "_get_metricz"},
     "/runs": {"GET": "_get_runs", "POST": "_post_runs"},  # list / register
     # Per run: totals (Eq. 15), ranked parties (?top=k), the Eq. 17-18
@@ -840,7 +839,7 @@ class RequestCore(BaseHTTPRequestHandler):
                 "progress": exc.progress,
             }
             return body, 504, {}
-        if isinstance(exc, (ServiceClosed, QueryFailed)):  # incl. CircuitOpen
+        if isinstance(exc, ServiceClosed):
             return {"error": str(exc)}, 503, {}
         if isinstance(exc, KeyError):
             return {"error": str(exc.args[0] if exc.args else exc)}, 404, {}
@@ -869,8 +868,8 @@ class _Handler(RequestCore):
         """Verdicts, not raw series.
 
         SLO burn rates and budgets, per-endpoint latency summaries with
-        the slowest exemplar (a trace id to pull up first), breaker
-        states, and — on a standby — replication lag.
+        the slowest exemplar (a trace id to pull up first), and — on a
+        standby — replication lag.
         """
         server, service = self.server, self.service
         payload = server.telemetry.status()  # type: ignore[attr-defined]
@@ -880,7 +879,6 @@ class _Handler(RequestCore):
         payload.update(
             {
                 "health": service.health()["status"],
-                "breakers": stats["breakers"],
                 "replication": follower.stats() if follower is not None else None,
                 "uptime_seconds": stats["uptime_seconds"],
                 "ring_epoch": server.ring_epoch,  # type: ignore[attr-defined]

@@ -1,38 +1,33 @@
 """Resilience primitives for the serving layer: fail *soft*, never fall over.
 
-The ROADMAP's serving story is heavy traffic against estimators whose
-answers are expensive to recompute and — per the Shapley-volatility
-literature — *more* useful served stale-but-consistent than recomputed
-under duress.  This module is the toolbox :mod:`repro.serve.service`
-wires through the whole query path:
+Queries read an immutable per-run answer snapshot and never wait
+(:mod:`repro.serve.service`), so nothing here guards a read beyond
+admission.  The toolbox:
 
-* :class:`Deadline` — a per-request time budget, enforced cooperatively
-  (compute closures call :meth:`Deadline.check` at safe points) and at
-  the ``Future`` boundary; expiry raises :class:`DeadlineExceeded`
-  carrying partial-progress info, which the HTTP layer maps to 504.
-* :class:`AdmissionQueue` — a bounded admission counter in front of the
-  service thread pool with depth / in-flight gauges; a full queue sheds
-  load with :class:`ServiceOverloaded` (HTTP 429 + ``Retry-After``
-  derived from the latency histogram's p95) instead of queueing
-  unboundedly.
+* :class:`Deadline` — a cooperative time budget for a batched
+  :meth:`~repro.serve.service.EvaluationService.ingest_log`, checked
+  between records; expiry raises :class:`DeadlineExceeded` carrying the
+  epochs ingested so far, which the HTTP layer maps to 504.
+* :class:`AdmissionQueue` — a bounded admission counter at the query
+  door with depth / in-flight gauges; a full queue sheds load with
+  :class:`ServiceOverloaded` (HTTP 429 + ``Retry-After`` derived from
+  the latency histogram's p95) instead of queueing unboundedly.
 * :class:`CircuitBreaker` — the classic closed → open → half-open state
-  machine, one per run: after ``failure_threshold`` consecutive
-  failures/timeouts the breaker opens and the service serves the last
-  good cached answer marked ``"stale": true`` (degraded mode) instead of
-  recomputing; after ``reset_s`` one half-open probe is let through.
+  machine, one per shard in the cluster router
+  (:mod:`repro.serve.cluster`): after ``failure_threshold`` consecutive
+  failures the breaker opens and the router stops dialling the shard;
+  after ``reset_s`` one half-open probe is let through.
 * :class:`RetryPolicy` — exponential backoff with *decorrelated jitter*
   (seeded, so tests are deterministic) for the publisher's
-  retry-then-dead-letter loop.
+  retry-then-dead-letter loop; :class:`Backoff` for respawn loops.
 * the typed error family (:class:`ServiceClosed`,
-  :class:`ServiceOverloaded`, :class:`DeadlineExceeded`,
-  :class:`QueryFailed`, :class:`CircuitOpen`) that gives every failure
-  mode a distinct HTTP status — nothing resilience-related ever surfaces
-  as a bare 500.
+  :class:`ServiceOverloaded`, :class:`DeadlineExceeded`) that gives
+  every failure mode a distinct HTTP status — nothing resilience-related
+  ever surfaces as a bare 500.
 
 Everything here is stdlib + numpy, allocation-light on the happy path
-(``benchmarks/bench_resilience.py`` pins the warm-cache overhead at
-<5%), and driven deterministically by the chaos harness
-(:mod:`repro.serve.chaos`) in the test suite.
+(``benchmarks/bench_resilience.py`` pins the armed warm-read overhead at
+<5%).
 """
 
 from __future__ import annotations
@@ -83,25 +78,12 @@ class DeadlineExceeded(RuntimeError):
         self.progress = dict(progress or {})
 
 
-class QueryFailed(RuntimeError):
-    """The estimator failed and no stale answer was available to serve.
-
-    Wraps the underlying compute error so the HTTP layer can answer 503
-    (temporarily unavailable, retryable) rather than a bare 500.
-    """
-
-
-class CircuitOpen(QueryFailed):
-    """The run's breaker is open and there is no last-good answer to serve."""
-
-
 class Deadline:
-    """A cooperative per-request time budget.
+    """A cooperative time budget.
 
-    Compute closures call :meth:`check` at safe points (between epochs,
-    around estimator calls); the ``Future`` boundary uses
-    :meth:`remaining_s`.  ``Deadline.start(None)`` returns ``None`` so
-    the no-deadline hot path pays nothing.
+    Batched ingestion calls :meth:`check` between records.
+    ``Deadline.start(None)`` returns ``None`` so the no-deadline path
+    pays nothing.
     """
 
     __slots__ = ("budget_s", "_started")
@@ -133,19 +115,16 @@ class Deadline:
         if elapsed >= self.budget_s:
             raise DeadlineExceeded(self.budget_s * 1e3, elapsed * 1e3, progress)
 
-    def exceeded(self, **progress) -> DeadlineExceeded:
-        """The error to raise at the ``Future`` boundary on timeout."""
-        return DeadlineExceeded(self.budget_s * 1e3, self.elapsed_s * 1e3, progress)
 
 
 class AdmissionQueue:
-    """Bounded admission in front of the service pool, with gauges.
+    """Bounded admission at the query door, with gauges.
 
     ``try_acquire`` admits a request (or refuses, returning ``False``)
-    and bumps the ``depth`` gauge — admitted-but-unfinished requests,
-    queued *or* running.  Workers bracket their actual execution with
-    :meth:`enter` / :meth:`exit` for the ``in_flight`` gauge, and every
-    request ends with :meth:`release`.  ``limit=None`` disables shedding
+    and bumps the ``depth`` gauge — admitted-but-unfinished requests.
+    Readers bracket their actual execution with :meth:`enter` /
+    :meth:`exit` for the ``in_flight`` gauge, and every request ends
+    with :meth:`release`.  ``limit=None`` disables shedding
     (the gauges still count), which is the library default — bounding is
     an operator decision (``repro serve --max-queue``).
     """
@@ -189,15 +168,14 @@ class AdmissionQueue:
 
 
 class CircuitBreaker:
-    """Closed → open → half-open failure isolation for one run.
+    """Closed → open → half-open failure isolation for one router shard.
 
-    ``failure_threshold`` *consecutive* failures (exceptions or
-    deadline timeouts) open the breaker; while open, :meth:`allow`
-    refuses compute (the service serves its last good answer, stale-
-    marked) until ``reset_s`` has passed, after which exactly one
+    ``failure_threshold`` *consecutive* failures (proxy errors or failed
+    health probes) open the breaker; while open, :meth:`allow` refuses
+    the dial until ``reset_s`` has passed, after which exactly one
     half-open probe is admitted — success closes the breaker, failure
     re-opens it and re-arms the timer.  ``clock`` is injectable so the
-    chaos tests drive transitions deterministically.
+    tests drive transitions deterministically.
     """
 
     CLOSED = "closed"
@@ -210,7 +188,6 @@ class CircuitBreaker:
         reset_s: float = 30.0,
         *,
         clock=time.monotonic,
-        on_open=None,
     ) -> None:
         if failure_threshold <= 0:
             raise ValueError(
@@ -227,12 +204,6 @@ class CircuitBreaker:
         self._probing = False
         self._lock = threading.Lock()
         self.opens = 0  # lifetime count, for /metricz
-        # Called once per closed/half-open -> open transition (the service
-        # feeds a repro.obs breaker-transition counter through this).  It
-        # runs under the breaker lock, so it must only touch leaf state —
-        # a Counter.inc qualifies; anything re-entering the breaker does
-        # not.
-        self._on_open = on_open
 
     @property
     def state(self) -> str:
@@ -270,11 +241,11 @@ class CircuitBreaker:
     def cancel_probe(self) -> None:
         """Release a held half-open probe slot without recording an outcome.
 
-        Used when the admitted probe died of a *caller* error (bad
-        arguments reaching the estimator): that says nothing about the
-        estimator's health, so neither success nor failure is recorded —
-        but the slot must be freed, or a half-open breaker would refuse
-        every future compute forever.  No-op when no probe is held.
+        Used when the admitted probe died of a *caller* error: that says
+        nothing about the shard's health, so neither success nor failure
+        is recorded — but the slot must be freed, or a half-open breaker
+        would refuse every future dial forever.  No-op when no probe is
+        held.
         """
         with self._lock:
             self._probing = False
@@ -294,8 +265,6 @@ class CircuitBreaker:
     def _trip(self) -> None:
         if self._state != self.OPEN:
             self.opens += 1
-            if self._on_open is not None:
-                self._on_open()
         self._state = self.OPEN
         self._opened_at = self._clock()
         self._probing = False

@@ -1,29 +1,30 @@
 """In-process contribution evaluation service.
 
 One :class:`EvaluationService` owns a registry of *runs* (streaming
-estimator + content digest + lock + circuit breaker), a shared
-:class:`~repro.serve.cache.ResultCache`, a request thread pool behind a
-bounded admission queue, and latency histograms.  Producers push epochs
-in — batched from a saved log, or live from the :mod:`repro.runtime`
-engine through a :class:`ContributionPublisher` — and any number of
-consumer threads query contributions, leaderboards and Eq. 17 reweight
-vectors mid-training.
+estimator + content digest + lock + published answer), a shared
+:class:`~repro.serve.cache.ResultCache` for validation gradients and
+loaded logs, a bounded admission queue, and latency histograms.
+Producers push epochs in — batched from a saved log, or live from the
+:mod:`repro.runtime` engine through a :class:`ContributionPublisher` —
+and any number of consumer threads query contributions, leaderboards and
+Eq. 17 reweight vectors mid-training.
 
-Concurrency: the registry is guarded by one lock; each run by its own
-re-entrant lock, held for every ingest *and* every query touching its
-estimator, so a query observes a whole number of epochs.  Query answers
-and validation gradients are cached content-addressed (prefix digest +
-query parameters) in one thread-safe cache (``benchmarks/bench_serve.py``).
+Readers never wait.  Lemma 3 (Eq. 15) makes a run's whole answer a pure
+function of its per-epoch rows, so each time an epoch becomes durable
+the run swaps in an immutable :class:`_Answer` (epochs, digest, totals,
+ranking, latest row): at the end of a lone :meth:`~EvaluationService.ingest`,
+at the commit of :meth:`~EvaluationService.ingest_log` (a deadline's
+partial exit included) and at the end of
+:meth:`~EvaluationService.replay_epoch`.  Queries read that snapshot
+without the run lock, which serialises writers only; no answer reflects
+an epoch a crash could take back.
 
-Resilience (:mod:`repro.serve.resilience`): a query may carry a
-:class:`~repro.serve.resilience.Deadline`, checked at safe points and at
-the ``Future`` boundary of :meth:`query`; a bounded admission queue sheds
-load with :class:`~repro.serve.resilience.ServiceOverloaded`; a per-run
-circuit breaker, after consecutive estimator failures or timeouts, serves
-the run's *last good* answer marked ``"stale": true`` — contribution
-scores are volatile across reruns, so a consistent stale answer beats an
-error and a nervous recompute.  Non-finite payloads count as failures and
-are never cached.  :meth:`close` is idempotent; every public method then
+Failures are refused where they enter: an epoch whose row holds NaN or
+±inf raises :class:`~repro.core.streaming.NonFiniteRow` and changes
+nothing — rows, counters, digest, WAL and answer stay as they were.
+:meth:`query` keeps admission at the door: a full queue sheds with
+:class:`~repro.serve.resilience.ServiceOverloaded` (HTTP 429 +
+``Retry-After``).  :meth:`close` is idempotent; every public method then
 raises :class:`~repro.serve.resilience.ServiceClosed`.  An attached
 :class:`~repro.serve.wal.WriteAheadLog` makes every registration and
 every epoch's contribution row durable; ``repro serve --recover``
@@ -36,15 +37,13 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from repro.core.backends import HFLRunContext, VFLRunContext, get_backend
 from repro.core.contribution import ContributionReport
-from repro.core.streaming import _StreamingBase
+from repro.core.streaming import NonFiniteRow, _StreamingBase, reweight
 from repro.data.dataset import Dataset
 from repro.hfl.log import EpochRecord, TrainingLog
 from repro.metrics.cost import LatencyHistogram
@@ -54,11 +53,7 @@ from repro.obs.profile import NULL_PROFILER
 from repro.serve.cache import ResultCache, RunDigest, fingerprint_arrays
 from repro.serve.resilience import (
     AdmissionQueue,
-    CircuitBreaker,
-    CircuitOpen,
     Deadline,
-    DeadlineExceeded,
-    QueryFailed,
     RetryPolicy,
     ServiceClosed,
     ServiceOverloaded,
@@ -70,24 +65,57 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.serve.wal import WriteAheadLog
 
 _VAL_GRAD_PREFIX = "valgrad"
-# Errors that mean "the caller asked wrong", not "the estimator is sick":
-# they pass through untouched and never count against a breaker.
-_CALLER_ERRORS = (ValueError, KeyError, TypeError)
+_READERS = ("contributions", "leaderboard", "weights")
 
 
 class MissingRunInputs(RuntimeError):
     """A live epoch for a WAL-restored run the WAL holds no inputs for."""
 
 
+class _Answer:
+    """A run's answer after its latest durable epoch; never mutated.
+
+    Holds a read-only view of the run's first ``epochs`` rows — rows the
+    estimator never writes again — so publishing one costs O(1), even on
+    every replayed WAL record.  The first read reduces the view to the
+    totals (``per_epoch().sum(axis=0)``, bit for bit) and the ranking,
+    and keeps them; racing first readers compute the same arrays.
+    """
+
+    __slots__ = ("epochs", "digest", "method", "participant_ids", "rows", "_reduced")
+
+    def __init__(self, rows: np.ndarray, digest: str, method: str, ids: tuple) -> None:
+        rows.setflags(write=False)
+        self.epochs = len(rows)
+        self.digest = digest
+        self.method = method
+        self.participant_ids = ids
+        self.rows = rows
+        self._reduced: tuple[np.ndarray, np.ndarray] | None = None
+
+    @property
+    def latest(self) -> np.ndarray:
+        """The latest epoch's row (read-only)."""
+        return self.rows[-1]
+
+    def reduced(self) -> tuple[np.ndarray, np.ndarray]:
+        """(read-only totals, participant columns best total first)."""
+        reduced = self._reduced
+        if reduced is None:
+            totals = self.rows.sum(axis=0)
+            totals.setflags(write=False)
+            reduced = self._reduced = (totals, np.argsort(totals)[::-1])
+        return reduced
+
+
 class _Run:
-    """One registered run: estimator, digest, lock, breaker, last-good answers."""
+    """One registered run: estimator, digest, writer lock, published answer."""
 
     def __init__(
         self,
         run_id: str,
         estimator: _StreamingBase,
         digest: RunDigest,
-        breaker: CircuitBreaker,
         record: dict,
         rebuild: Callable[[], _StreamingBase] | None = None,
     ) -> None:
@@ -98,57 +126,57 @@ class _Run:
         # a restored HFL run's estimator, inputs included, when it ingests.
         self.record = record
         self.rebuild = rebuild
-        self.lock = threading.RLock()
-        self.breaker = breaker
+        self.lock = threading.RLock()  # writers only; readers take ``answer``
         self.profiler = NULL_PROFILER  # the service swaps in the run's own
-        # (query name, params) -> the last successfully computed payload,
-        # served stale-marked while the breaker refuses fresh computes.
-        self.last_good: dict[tuple[str, str], dict] = {}
+        self.answer: _Answer | None = None  # None until an epoch is durable
+        self._ids = tuple(estimator.participant_ids)
+
+    @property
+    def epochs(self) -> int:
+        """Epochs in the published answer (durable ones only)."""
+        answer = self.answer
+        return answer.epochs if answer is not None else 0
 
     def summary(self) -> dict:
-        with self.lock:
-            return {
-                "run_id": self.run_id,
-                "kind": self.record["kind"],
-                "estimator": self.record["estimator"],
-                "epochs": self.estimator.n_epochs,
-                "participants": list(self.estimator.participant_ids),
-                "breaker": self.breaker.state,
-            }
+        return {
+            "run_id": self.run_id,
+            "kind": self.record["kind"],
+            "estimator": self.record["estimator"],
+            "epochs": self.epochs,
+            "participants": list(self._ids),
+        }
+
+    def publish(self) -> None:
+        """Swap in the answer of the epochs held; call once they are durable."""
+        estimator = self.estimator
+        if estimator.n_epochs != self.epochs:
+            self.answer = _Answer(
+                estimator.rows(), self.digest.hexdigest(), estimator.method, self._ids
+            )
 
 
 class EvaluationService:
-    """Caching, concurrent, failure-isolating query service.
+    """Concurrent contribution service whose readers never wait.
 
-    ``cache_bytes`` bounds the shared result/gradient cache;
-    ``max_workers`` sizes the pool behind :meth:`query`/:meth:`submit`;
-    ``query_deadline_ms`` is the default per-request deadline (None: no
-    deadline); ``admission_limit`` bounds admitted-but-unfinished pool
-    requests (None: unbounded — the library default; ``repro serve``
-    sets it); ``breaker_failures``/``breaker_reset_s`` parameterise the
-    per-run circuit breakers; ``wal`` makes registry mutations durable.
-    All public methods are thread-safe.
+    ``cache_bytes`` bounds the shared gradient/log cache;
+    ``admission_limit`` bounds in-flight :meth:`query` requests (None:
+    unbounded — the library default; ``repro serve --max-queue`` sets
+    it); ``wal`` makes registry mutations durable.  All public methods
+    are thread-safe.
     """
 
     def __init__(
         self,
         *,
         cache_bytes: int = 64 * 1024 * 1024,
-        max_workers: int = 4,
-        query_deadline_ms: float | None = None,
         admission_limit: int | None = None,
-        breaker_failures: int = 3,
-        breaker_reset_s: float = 30.0,
         wal: "WriteAheadLog | None" = None,
         obs: Observability | None = None,
     ) -> None:
         self.cache = ResultCache(cache_bytes)
         self.ingest_latency = LatencyHistogram()
         self.query_latency = LatencyHistogram()
-        self.query_deadline_ms = query_deadline_ms
         self.admission = AdmissionQueue(admission_limit)
-        self.breaker_failures = breaker_failures
-        self.breaker_reset_s = breaker_reset_s
         self.wal = wal
         # The default bundle keeps tracing off (no per-request spans) but
         # metrics and per-run profiling on — they cost nothing on the warm
@@ -160,9 +188,6 @@ class EvaluationService:
         self._trace_off = not self.obs.tracer.enabled
         self._runs: dict[str, _Run] = {}
         self._registry_lock = threading.Lock()
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-serve"
-        )
         self._auto_ids = itertools.count(1)
         self._started_at = time.perf_counter()
         self._closed = False
@@ -194,7 +219,7 @@ class EvaluationService:
         reg.register(
             "repro_serve_admission_in_flight",
             self.admission.in_flight,
-            help="Requests currently executing on the pool",
+            help="Admitted queries currently executing",
             exist_ok=True,
         )
         reg.register(
@@ -217,12 +242,6 @@ class EvaluationService:
             kind="gauge",
             help="Seconds since the service was constructed",
             exist_ok=True,
-        )
-        # New first-class counters: breaker transitions (fed by the
-        # breakers' on_open hook) and publisher dead letters.
-        self.breaker_opens_total = reg.counter(
-            "repro_serve_breaker_opens_total",
-            help="Circuit-breaker closed/half-open to open transitions",
         )
         self.dlq_total = reg.counter(
             "repro_serve_publish_dlq_total",
@@ -257,10 +276,10 @@ class EvaluationService:
         (:func:`repro.core.backends.get_backend`); ``estimator_options``
         parameterise it.  The run's content digest is seeded with the
         validation-set hash, the model architecture and the backend's
-        digest token (name + options), so cached answers are shared
-        exactly between runs that would compute identical numbers — and
-        never across backends.  ``spec`` holds the ``POST /runs`` fields
-        the run's WAL ``register`` record carries.
+        digest token (name + options), so runs share a digest exactly when
+        they would compute identical numbers — and never across backends.
+        ``spec`` holds the ``POST /runs`` fields the run's WAL ``register``
+        record carries.
         """
         backend = get_backend(estimator, **(estimator_options or {}))
         backend.require("hfl")
@@ -396,11 +415,6 @@ class EvaluationService:
     ) -> str:
         """Add a run; log its WAL ``register`` record: ``spec`` + ``fields``."""
         self._ensure_open()
-        breaker = CircuitBreaker(
-            self.breaker_failures,
-            self.breaker_reset_s,
-            on_open=self.breaker_opens_total.inc,
-        )
         with self._registry_lock:
             auto = run_id is None
             while auto and (run_id is None or run_id in self._runs):
@@ -416,7 +430,7 @@ class EvaluationService:
                 "estimator_options": backend.options,
                 "digest_seed": digest.hexdigest(),
             }
-            run = _Run(run_id, estimator, digest, breaker, record, rebuild)
+            run = _Run(run_id, estimator, digest, record, rebuild)
             # Hand the estimator this run's phase profiler so its hot-path
             # timers (valgrad, dot products) aggregate under the run id.
             run.profiler = self.obs.profiles.for_run(run_id)
@@ -481,10 +495,14 @@ class EvaluationService:
         the retrying :class:`ContributionPublisher` re-send after a
         transient failure without double-ingesting.  Ingestion is atomic:
         the next link of the digest chain is committed only after the
-        estimator accepts the record, so a failed ingest changes nothing.
-        Behind a WAL the epoch's row, counter increments and chain link
-        are durable on return (``sync=False`` leaves the fsync to the
-        caller's commit).  A WAL-restored run builds its estimator first.
+        estimator accepts the record, and a refused epoch
+        (:class:`~repro.core.streaming.NonFiniteRow`, named by run and
+        epoch) or a failed one puts the work counters back, so it changes
+        nothing.  Behind a WAL the epoch's row, counter increments and
+        chain link are durable on return, and the run's answer is then
+        published; ``sync=False`` leaves the fsync and the publish to the
+        caller's commit (:meth:`ingest_log`).  A WAL-restored run builds
+        its estimator first.
         """
         self._ensure_open()
         run = self._run(run_id)
@@ -517,7 +535,13 @@ class EvaluationService:
                     candidate = run.digest.update_vfl(record)
                     memo_key = candidate.hexdigest()
             counted = run.estimator.counter_values()
-            row = run.estimator.ingest(record, memo_key=memo_key)
+            try:
+                row = run.estimator.ingest(record, memo_key=memo_key)
+            except Exception as exc:
+                run.estimator.rewind_counters(counted)
+                if isinstance(exc, NonFiniteRow):
+                    raise NonFiniteRow(f"run {run_id!r}: {exc}") from None
+                raise
             run.digest = candidate
             epochs = run.estimator.n_epochs
             span.set_attribute("epochs", epochs)
@@ -543,6 +567,8 @@ class EvaluationService:
                         },
                         sync=sync,
                     )
+            if sync:
+                run.publish()
         self.ingest_latency.record(time.perf_counter() - started)
         self.obs.logger.debug(
             "serve.ingest", run_id=run_id, epochs=epochs, seq=seq
@@ -556,8 +582,10 @@ class EvaluationService:
         pushed as they are, once the record's link extends the run's hash
         chain, ``SHA-256(d_{t-1} ‖ h_t) == d_t`` (a redelivered record of
         the latest epoch must carry the digest held), else
-        :class:`RecoveryError`.  Behind a WAL the record is re-logged as
-        it is, so a standby's own log is a valid replication source.
+        :class:`RecoveryError`; a non-finite row raises
+        :class:`~repro.core.streaming.NonFiniteRow`.  Behind a WAL the
+        record is re-logged as it is, so a standby's own log is a valid
+        replication source.  The run's answer is published on return.
         """
         from repro.serve.wal import INGEST, RecoveryError, decode_row
 
@@ -580,6 +608,7 @@ class EvaluationService:
             if self.wal is not None:
                 with self.obs.tracer.span("wal.append", kind=INGEST):
                     self.wal.append(INGEST, dict(payload))
+            run.publish()
         return True
 
     def ingest_log(
@@ -604,10 +633,12 @@ class EvaluationService:
         ``sync=False``, such as a ``POST /runs`` registration — durable
         before this returns or raises, so no progress reaches a caller,
         not even a deadline's partial count, that a crash could take back.
+        The run's answer is published after that commit, so readers see
+        the batch's epochs only once they are durable.
         """
         self._ensure_open()
         run = self._run(run_id)
-        with run.lock:
+        with self.obs.tracer.span("serve.ingest_log", run_id=run_id), run.lock:
             try:
                 start = run.estimator.n_epochs
                 for record in log.records[start:]:
@@ -621,6 +652,7 @@ class EvaluationService:
                         "wal.fsync"
                     ):
                         self.wal.commit()
+                run.publish()
 
     def publisher(self, run_id: str, **kwargs) -> "ContributionPublisher":
         """A live-publishing hook for :meth:`repro.runtime.FederatedRuntime.run_hfl`.
@@ -633,132 +665,19 @@ class EvaluationService:
 
     # -------------------------------------------------------------- queries
 
-    def _cached_query(
-        self,
-        run: _Run,
-        name: str,
-        params: str,
-        compute,
-        deadline: Deadline | None,
-    ):
-        """Serve from cache; else compute under the breaker's protection.
-
-        The key is the digest of the ingested prefix — content, not run
-        id — so identical runs and repeated queries share one entry.
-        Cached payloads are therefore run-agnostic; the requesting run's
-        id (and staleness) is stamped on per request.  Failure ladder on
-        a miss: breaker open → last good answer, ``"stale": true`` (none
-        recorded → :class:`CircuitOpen`); compute raises or returns
-        non-finite numbers → breaker failure, then the same stale
-        fallback (none → :class:`QueryFailed`); compute overruns the
-        deadline → the fresh value is still cached (the *next* caller
-        gets it warm), the breaker counts a timeout, and
-        :class:`DeadlineExceeded` surfaces with partial progress.
-        """
-        self._ensure_open()
-        if deadline is not None:
-            deadline.check()
-        tracer = self.obs.tracer
-        started = time.perf_counter()
-        with run.lock:
-            if run.estimator.n_epochs == 0:
-                raise ValueError(f"run {run.run_id!r} has no epochs ingested yet")
-            epochs = run.estimator.n_epochs
-            key = ("query", run.digest.hexdigest(), name, params)
-            # Parented by the worker's thread-local serve.compute span, so
-            # the request trace shows where the time went: cache lookup vs
-            # guarded estimator compute.
-            with tracer.span("serve.cache", query=name) as cache_span:
-                value = self.cache.get(key)
-                cache_span.set_attribute("hit", value is not None)
-            if value is None:
-                with tracer.span("serve.estimator", query=name, epochs=epochs):
-                    value = self._compute_guarded(
-                        run, name, params, key, compute, deadline, epochs
-                    )
-        self.query_latency.record(time.perf_counter() - started)
-        return self._stamp(run, value)
-
-    @staticmethod
-    def _stamp(run: _Run, value: dict) -> dict:
-        """Stamp a run-agnostic cached payload with the requesting run's id."""
-        return {
-            "run_id": run.run_id,
-            "estimator": run.record["estimator"],
-            "stale": value.get("_stale", False),
-            **{k: v for k, v in value.items() if k != "_stale"},
-        }
-
-    def _compute_guarded(
-        self, run: _Run, name: str, params: str, key, compute, deadline, epochs
-    ) -> dict:
-        """The cache-miss path: breaker, payload validation, stale fallback."""
-        if not run.breaker.allow():
-            return self._stale_or_raise(
-                run, name, params,
-                CircuitOpen(
-                    f"breaker for run {run.run_id!r} is open and no previous "
-                    f"answer for {name!r} is available"
-                ),
-            )
-        try:
-            value = compute()
-            self._validate_payload(name, value)
-        except _CALLER_ERRORS:
-            # The caller's mistake, not the estimator's health: no success
-            # or failure recorded — but a held half-open probe slot must be
-            # released, or the breaker would stay probing forever.
-            run.breaker.cancel_probe()
-            raise
-        except DeadlineExceeded:
-            run.breaker.record_failure()
-            raise
-        except Exception as exc:
-            run.breaker.record_failure()
-            return self._stale_or_raise(
-                run, name, params,
-                QueryFailed(
-                    f"{name} query failed for run {run.run_id!r}: "
-                    f"{type(exc).__name__}: {exc}"
-                ),
-                cause=exc,
-            )
-        run.breaker.record_success()
-        self.cache.put(key, value)
-        run.last_good[(name, params)] = value
-        if deadline is not None and deadline.expired():
-            # Too late for this caller, but the work is banked: the value
-            # is cached and last-good, so the retry is a warm hit.
-            run.breaker.record_failure()
-            raise deadline.exceeded(epochs=epochs, computed=True)
-        return value
-
-    def _stale_or_raise(self, run: _Run, name: str, params: str, error, *, cause=None):
-        stale = run.last_good.get((name, params))
-        if stale is None:
-            raise error from cause
-        return {**stale, "_stale": True}
-
-    @staticmethod
-    def _validate_payload(name: str, value: dict) -> None:
-        """Refuse non-finite numbers — a corrupted payload must never be cached."""
-        numbers = []
-        for field in ("totals", "weights"):
-            numbers.extend(value.get(field, ()))
-        numbers.extend(
-            row["contribution"] for row in value.get("leaderboard", ())
-        )
-        if not np.all(np.isfinite(numbers)):
-            raise QueryFailed(
-                f"{name} produced non-finite values (corrupted payload)"
-            )
-
-    def report(self, run_id: str, *, deadline: Deadline | None = None) -> ContributionReport:
-        """The full :class:`ContributionReport` (uncached: callers mutate it)."""
+    def _read(self, run_id: str) -> tuple[_Run, _Answer]:
+        """The run and its published answer; no lock is taken."""
         self._ensure_open()
         run = self._run(run_id)
-        if deadline is not None:
-            deadline.check()
+        answer = run.answer
+        if answer is None:
+            raise ValueError(f"run {run_id!r} has no epochs ingested yet")
+        return run, answer
+
+    def report(self, run_id: str) -> ContributionReport:
+        """The full :class:`ContributionReport` (under the run lock)."""
+        self._ensure_open()
+        run = self._run(run_id)
         started = time.perf_counter()
         with run.lock:
             if run.estimator.n_epochs == 0:
@@ -767,254 +686,122 @@ class EvaluationService:
         self.query_latency.record(time.perf_counter() - started)
         return report
 
-    def contributions(self, run_id: str, *, deadline: Deadline | None = None) -> dict:
+    def contributions(self, run_id: str) -> dict:
         """Totals (and per-epoch shape metadata) as a JSON-ready dict."""
-        run = self._run(run_id)
+        started = time.perf_counter()
+        run, answer = self._read(run_id)
+        payload = {
+            "run_id": run.run_id,
+            "estimator": run.record["estimator"],
+            "method": answer.method,
+            "epochs": answer.epochs,
+            "participant_ids": list(answer.participant_ids),
+            "totals": answer.reduced()[0].tolist(),
+        }
+        self.query_latency.record(time.perf_counter() - started)
+        return payload
 
-        def compute() -> dict:
-            estimator = run.estimator
-            return {
-                "method": estimator.method,
-                "epochs": estimator.n_epochs,
-                "participant_ids": list(estimator.participant_ids),
-                "totals": [float(v) for v in estimator.totals()],
-            }
-
-        return self._cached_query(run, "contributions", "", compute, deadline)
-
-    def leaderboard(
-        self, run_id: str, *, top: int | None = None, deadline: Deadline | None = None
-    ) -> dict:
+    def leaderboard(self, run_id: str, *, top: int | None = None) -> dict:
         """Ranked (participant, contribution) rows, best first."""
-        run = self._run(run_id)
+        started = time.perf_counter()
+        run, answer = self._read(run_id)
+        totals, order = answer.reduced()
+        if top is not None:
+            order = order[:top]
+        ids = answer.participant_ids
+        payload = {
+            "run_id": run.run_id,
+            "estimator": run.record["estimator"],
+            "epochs": answer.epochs,
+            "leaderboard": [
+                {"rank": rank, "participant": ids[i], "contribution": float(totals[i])}
+                for rank, i in enumerate(order, start=1)
+            ],
+        }
+        self.query_latency.record(time.perf_counter() - started)
+        return payload
 
-        def compute() -> dict:
-            rows = run.estimator.leaderboard(top)
-            return {
-                "epochs": run.estimator.n_epochs,
-                "leaderboard": [
-                    {"rank": i + 1, "participant": pid, "contribution": total}
-                    for i, (pid, total) in enumerate(rows)
-                ],
-            }
-
-        return self._cached_query(run, "leaderboard", f"top={top}", compute, deadline)
-
-    def weights(
-        self, run_id: str, *, scheme: str = "rectified", deadline: Deadline | None = None
-    ) -> dict:
+    def weights(self, run_id: str, *, scheme: str = "rectified") -> dict:
         """The Eq. 17–18 reweight vector after the latest ingested epoch."""
-        run = self._run(run_id)
-
-        def compute() -> dict:
-            vector = run.estimator.current_weights(scheme)
-            return {
-                "epochs": run.estimator.n_epochs,
-                "scheme": scheme,
-                "participant_ids": list(run.estimator.participant_ids),
-                "weights": [float(w) for w in vector],
-            }
-
-        return self._cached_query(run, "weights", f"scheme={scheme}", compute, deadline)
+        started = time.perf_counter()
+        run, answer = self._read(run_id)
+        payload = {
+            "run_id": run.run_id,
+            "estimator": run.record["estimator"],
+            "epochs": answer.epochs,
+            "scheme": scheme,
+            "participant_ids": list(answer.participant_ids),
+            "weights": reweight(answer.latest, scheme).tolist(),
+        }
+        self.query_latency.record(time.perf_counter() - started)
+        return payload
 
     def query(self, method: str, /, *args, **kwargs):
-        """The HTTP request path: admit, pool-execute, bound by the deadline.
+        """The HTTP read path: admission at the door, then a snapshot read.
 
-        Admission is checked *before* the pool sees the request: a full
-        queue sheds immediately with
+        A full admission queue sheds immediately with
         :class:`~repro.serve.resilience.ServiceOverloaded` (HTTP 429)
         whose ``retry_after_s`` comes from the query-latency p95 and the
-        current depth.  The per-request
-        :class:`~repro.serve.resilience.Deadline` is threaded into the
-        compute *and* enforced at the ``Future`` boundary, so a request
-        stuck behind a wedged worker still answers 504 on time.
-
-        Warm cache hits skip the pool round-trip entirely: a non-blocking
-        probe of the run lock answers them inline (a held lock — compute
-        in progress — falls through to the pool path, so the caller is
-        never stalled past its deadline).  The per-request deadline is
-        only started on a miss; a hit pays nothing for resilience.
+        current depth.  An admitted read runs on the caller's thread and
+        takes no run lock, so it never waits behind an ingest.
         """
         self._ensure_open()
-        allowed = {"contributions", "leaderboard", "weights"}
-        if method not in allowed:
-            raise ValueError(f"method must be one of {sorted(allowed)}, got {method!r}")
+        if method not in _READERS:
+            raise ValueError(f"method must be one of {sorted(_READERS)}, got {method!r}")
+        read = getattr(self, method)
         if self._trace_off:
             # Warm path stays span-free: one attribute read is the entire
             # cost of disabled tracing (the bench_obs.py contract).
-            return self._admit_and_run(method, args, kwargs, None)
+            return self._admitted(read, args, kwargs, None)
         tracer = self.obs.tracer
-        with tracer.span(
-            "serve.query", method=method, run_id=args[0] if args else None
-        ) as root:
-            return self._admit_and_run(method, args, kwargs, root)
+        with tracer.span("serve.query", method=method, run_id=args[0] if args else None):
+            return self._admitted(read, args, kwargs, tracer)
 
-    def _admit_and_run(self, method: str, args: tuple, kwargs: dict, root):
-        """The admission → warm-peek → pool → deadline ladder behind query().
-
-        ``root`` is the request's ``serve.query`` span (or ``None`` when
-        tracing is off); admission, cache outcome and the pool-side
-        compute hang off it as children/events, and the worker thread
-        parents its spans explicitly on the root's context — the handle
-        that survives the hop onto the pool thread.
-        """
-        if root is None:
-            tracer = None
-            admitted_now = self.admission.try_acquire()
+    def _admitted(self, read, args: tuple, kwargs: dict, tracer):
+        """Admit one read (or shed it), run it, release the slot."""
+        if tracer is None:
+            admitted = self.admission.try_acquire()
         else:
-            tracer = self.obs.tracer
-            with tracer.span("serve.admission", parent=root) as admission_span:
-                admitted_now = self.admission.try_acquire()
-                admission_span.set_attribute("admitted", admitted_now)
-        if not admitted_now:
+            with tracer.span("serve.admission") as admission_span:
+                admitted = self.admission.try_acquire()
+                admission_span.set_attribute("admitted", admitted)
+        if not admitted:
             raise ServiceOverloaded(
                 self.admission.depth.value,
                 self.admission.limit,
                 self._retry_after_s(),
             )
+        self.admission.enter()
         try:
-            warm = self._warm_peek(method, args, kwargs)
-        except BaseException:
-            self.admission.release()
-            raise
-        if warm is not None:
-            self.admission.release()
-            if root is not None:
-                root.set_attribute("cache", "warm_hit")
-            return warm
-        deadline = Deadline.start(self.query_deadline_ms)
-        ctx = root.context if root is not None else None
-
-        def admitted():
-            self.admission.enter()
-            try:
-                if ctx is None:
-                    return getattr(self, method)(*args, deadline=deadline, **kwargs)
-                # Explicit parenting: the pool thread has no thread-local
-                # ancestry, so the compute span adopts the request's
-                # context handle and the trace stays one tree.
-                with tracer.span("serve.compute", parent=ctx, method=method):
-                    return getattr(self, method)(*args, deadline=deadline, **kwargs)
-            finally:
-                self.admission.exit()
-                self.admission.release()
-
-        try:
-            future = self._pool.submit(admitted)
-        except RuntimeError:
-            self.admission.release()
-            raise ServiceClosed() from None
-        timeout = deadline.remaining_s() if deadline is not None else None
-        if root is None:
-            try:
-                return future.result(timeout=timeout)
-            except FutureTimeout:
-                raise deadline.exceeded(stage="future boundary") from None
-        with tracer.span("serve.response", parent=root) as response_span:
-            try:
-                result = future.result(timeout=timeout)
-            except FutureTimeout:
-                raise deadline.exceeded(stage="future boundary") from None
-            response_span.set_attribute("stale", result.get("stale", False))
-            return result
-
-    # Cache-key param strings per query method; must mirror the params
-    # each method hands to _cached_query.
-    _QUERY_PARAMS = {
-        "contributions": lambda kwargs: "",
-        "leaderboard": lambda kwargs: f"top={kwargs.get('top')}",
-        "weights": lambda kwargs: f"scheme={kwargs.get('scheme', 'rectified')}",
-    }
-
-    def _warm_peek(self, method: str, args: tuple, kwargs: dict):
-        """Answer a warm cache hit inline, or ``None`` for the pool path.
-
-        Strictly non-blocking: an unknown run, a held run lock (a compute
-        is in progress), unexpected call shapes, or a cache miss all fall
-        through to the pool path, which owns every slow or error case.
-        """
-        if len(args) != 1 or "deadline" in kwargs:
-            return None
-        with self._registry_lock:
-            run = self._runs.get(args[0])
-        if run is None:
-            return None
-        params = self._QUERY_PARAMS[method](kwargs)
-        if not run.lock.acquire(blocking=False):
-            return None
-        try:
-            if run.estimator.n_epochs == 0:
-                return None
-            started = time.perf_counter()
-            value = self.cache.get(
-                ("query", run.digest.hexdigest(), method, params)
-            )
+            if tracer is None:
+                return read(*args, **kwargs)
+            with tracer.span("serve.snapshot"):
+                return read(*args, **kwargs)
         finally:
-            run.lock.release()
-        if value is None:
-            return None
-        self.query_latency.record(time.perf_counter() - started)
-        return self._stamp(run, value)
+            self.admission.exit()
+            self.admission.release()
 
     def _retry_after_s(self) -> float:
         return retry_after_seconds(
             self.query_latency.percentile(0.95), self.admission.depth.value
         )
 
-    def submit(self, method: str, /, *args, **kwargs) -> Future:
-        """Thread-pool request handling: run a query method asynchronously.
-
-        ``service.submit("leaderboard", run_id, top=3)`` returns a
-        :class:`~concurrent.futures.Future` resolving to the same payload
-        the synchronous call would; bulk consumers use it to overlap
-        independent queries.  (The HTTP layer goes through :meth:`query`,
-        which adds admission control and the deadline boundary.)
-        """
-        self._ensure_open()
-        allowed = {"contributions", "leaderboard", "weights", "report", "ingest_log"}
-        if method not in allowed:
-            raise ValueError(f"method must be one of {sorted(allowed)}, got {method!r}")
-        return self._pool.submit(getattr(self, method), *args, **kwargs)
-
     # ------------------------------------------------------------ metrics
 
     def health(self) -> dict:
-        """The ``/healthz`` payload: ok / degraded / closed, plus why.
-
-        ``degraded`` means at least one run's breaker is not closed —
-        its queries are being answered from last-good state, stale-marked.
-        """
+        """The ``/healthz`` payload: ``ok`` or ``closed``, and the run count."""
         if self._closed:
-            return {"status": "closed", "runs": 0, "degraded_runs": []}
-        with self._registry_lock:
-            runs = list(self._runs.values())
-        degraded = [
-            run.run_id
-            for run in runs
-            if run.breaker.state != CircuitBreaker.CLOSED
-        ]
-        return {
-            "status": "degraded" if degraded else "ok",
-            "runs": len(runs),
-            "degraded_runs": degraded,
-        }
+            return {"status": "closed", "runs": 0}
+        return {"status": "ok", "runs": len(self._runs)}
 
     def stats(self) -> dict:
-        """Everything ``/metricz`` serves: cache, latency, load, breakers."""
-        with self._registry_lock:
-            runs = list(self._runs.values())
-        breakers = {
-            run.run_id: run.breaker.stats()
-            for run in runs
-            if run.breaker.opens or run.breaker.state != CircuitBreaker.CLOSED
-        }
+        """Everything ``/metricz`` serves: cache, latency, load."""
         return {
             "uptime_seconds": time.perf_counter() - self._started_at,
-            "runs": len(runs),
+            "runs": len(self._runs),
             "closed": self._closed,
             "cache": self.cache.stats(),
             "admission": self.admission.stats(),
-            "breakers": breakers,
             "latency": {
                 "ingest": self.ingest_latency.summary(),
                 "query": self.query_latency.summary(),
@@ -1033,7 +820,7 @@ class EvaluationService:
         run = self._run(run_id)
         return {
             "run_id": run_id,
-            "epochs": run.estimator.n_epochs,
+            "epochs": run.epochs,
             "enabled": self.obs.profiles.enabled,
             "phases": self.obs.profiles.report(run_id),
         }
@@ -1041,17 +828,14 @@ class EvaluationService:
     def close(self) -> None:
         """Shut down: idempotent, and everything after it fails fast.
 
-        The closed flag flips *before* the pool drains, so requests
-        arriving mid-shutdown get :class:`ServiceClosed` (HTTP 503)
-        instead of queueing behind a dying pool — and a publisher that
-        outlives the service dead-letters immediately instead of
-        retrying into the void.
+        Requests arriving after the flag flips get :class:`ServiceClosed`
+        (HTTP 503), and a publisher that outlives the service
+        dead-letters immediately instead of retrying into the void.
         """
         with self._close_lock:
             if self._closed:
                 return
             self._closed = True
-        self._pool.shutdown(wait=True)
         if self.wal is not None:
             self.wal.close()
 
@@ -1078,7 +862,8 @@ class ContributionPublisher:
     (:class:`~repro.serve.resilience.RetryPolicy`), each publish is
     sequence-numbered so a retry after a half-completed attempt cannot
     double-ingest the epoch, and a record that exhausts its retries (or
-    hits a closed service, which is permanent) becomes a *dead letter*:
+    hits a permanent error — a closed service, or an epoch refused as
+    :class:`~repro.core.streaming.NonFiniteRow`) becomes a *dead letter*:
     recorded on :attr:`dead_letters`, returned as a
     ``{"dead_letter": True}`` detail, and logged by the engine as a
     ``publish_dlq`` event — training continues regardless.
@@ -1142,7 +927,7 @@ class ContributionPublisher:
             attempts += 1
             try:
                 return self._attempt(record, seq)
-            except ServiceClosed as exc:
+            except (ServiceClosed, NonFiniteRow) as exc:
                 return self._resolve_failure(record, seq, attempts, exc)
             except Exception as exc:
                 try:

@@ -29,15 +29,16 @@ class TestParser:
         assert args.host == "127.0.0.1"
         assert args.port == 8733
         assert args.cache_mb == 64
-        assert args.query_workers == 4
+        assert not hasattr(args, "query_workers")
+        assert not hasattr(args, "query_deadline_ms")
 
     def test_serve_overrides(self):
         args = build_parser().parse_args(
-            ["serve", "--port", "0", "--cache-mb", "8", "--query-workers", "2"]
+            ["serve", "--port", "0", "--cache-mb", "8", "--max-queue", "2"]
         )
         assert args.port == 0
         assert args.cache_mb == 8
-        assert args.query_workers == 2
+        assert args.max_queue == 2
 
     def test_serve_trace_flags(self):
         args = build_parser().parse_args(["serve"])

@@ -88,7 +88,8 @@ class TestFastExamplesRun:
     def test_resilient_leaderboard(self, capsys):
         load_example("resilient_leaderboard.py").main()
         out = capsys.readouterr().out
-        assert "served last good leaderboard, stale=True" in out
-        assert "healthz status: degraded" in out
-        assert "healed: stale=False" in out
+        assert "poisoned epoch 5 refused: NonFiniteRow" in out
+        assert "leaderboard still serves every clean epoch: epochs=4, unchanged=True" in out
+        assert "healthz status: ok" in out
+        assert "healed: epochs=6, totals bit-for-bit equal batch audit: True" in out
         assert "recovered totals bit-for-bit equal pre-crash: True" in out

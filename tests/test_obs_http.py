@@ -121,7 +121,6 @@ class TestJsonMetricz:
             "closed",
             "cache",
             "admission",
-            "breakers",
             "latency",
             "obs",
         }

@@ -1,11 +1,11 @@
 """Trace propagation across the serving and runtime thread pools.
 
 The contract under test: one serve request (or one engine run) is ONE
-trace, no matter how many thread hops it takes — admission, cache,
-estimator and response phases all hang off the request's root span, pool
-workers adopt the request context explicitly, and error exits
-(:class:`DeadlineExceeded`, :class:`CircuitOpen`) close their spans with
-``status="error"`` instead of leaking them open.
+trace, no matter how many thread hops it takes — a query's admission and
+snapshot-read phases hang off the request's root span on the caller's
+thread, engine pool workers adopt the run context explicitly, and error
+exits (:class:`ServiceOverloaded`, :class:`DeadlineExceeded`) close
+their spans with ``status="error"`` instead of leaking them open.
 """
 
 import threading
@@ -16,13 +16,7 @@ from repro.hfl import HFLTrainer
 from repro.nn import LRSchedule
 from repro.obs import Observability
 from repro.runtime import FederatedRuntime, RuntimeConfig
-from repro.serve import (
-    ChaosPolicy,
-    CircuitOpen,
-    DeadlineExceeded,
-    EvaluationService,
-    inject_chaos,
-)
+from repro.serve import DeadlineExceeded, EvaluationService, ServiceOverloaded
 from tests.conftest import small_model_factory
 
 
@@ -54,7 +48,7 @@ def assert_single_rooted_trace(spans) -> None:
 @pytest.fixture()
 def traced_service(vfl_result):
     obs = traced_obs()
-    with EvaluationService(obs=obs, max_workers=2) as service:
+    with EvaluationService(obs=obs) as service:
         run_id = service.register_vfl_log(vfl_result.log, run_id="traced")
         yield service, run_id, obs
 
@@ -71,39 +65,27 @@ class TestServeRequestTrace:
         ]
         assert_single_rooted_trace(trace)
         names = by_name(trace)
-        # The acceptance contract: admission -> cache -> estimator ->
-        # response, all under one serve.query root.
-        for phase in (
-            "serve.query",
-            "serve.admission",
-            "serve.compute",
-            "serve.cache",
-            "serve.estimator",
-            "serve.response",
-        ):
+        # The acceptance contract: admission -> snapshot read, both
+        # under one serve.query root.
+        for phase in ("serve.query", "serve.admission", "serve.snapshot"):
             assert phase in names, f"missing {phase} span"
         (root,) = names["serve.query"]
         assert root.parent_id is None
         assert names["serve.admission"][0].parent_id == root.span_id
-        (compute,) = names["serve.compute"]
-        assert compute.parent_id == root.span_id
-        # The pool worker runs on a different thread yet stays in-trace.
-        assert compute.thread != root.thread
-        assert names["serve.cache"][0].parent_id == compute.span_id
-        assert names["serve.estimator"][0].parent_id == compute.span_id
-        assert names["serve.response"][0].parent_id == root.span_id
+        assert names["serve.snapshot"][0].parent_id == root.span_id
         assert all(span.status == "ok" for span in trace)
 
     def test_warm_hit_trace_skips_the_pool(self, traced_service):
+        """Every read is a snapshot read on the caller's thread."""
         service, run_id, obs = traced_service
         service.query("leaderboard", run_id, top=2)
         obs.tracer.clear()
-        service.query("leaderboard", run_id, top=2)  # warm
+        service.query("leaderboard", run_id, top=2)
         (trace,) = obs.tracer.traces().values()
         names = by_name(trace)
         (root,) = names["serve.query"]
-        assert root.attributes.get("cache") == "warm_hit"
         assert "serve.compute" not in names
+        assert {span.thread for span in trace} == {root.thread}
         assert_single_rooted_trace(trace)
 
     def test_fanned_out_queries_stay_separate_traces(self, traced_service):
@@ -128,47 +110,49 @@ class TestServeRequestTrace:
 
 class TestErrorPathSpans:
     def test_deadline_exceeded_closes_spans_with_error_status(self, vfl_result):
+        """A batched ingest cut by its deadline closes its span with
+        error status; the epochs it did ingest stay in the one trace."""
+
+        class CutAfter:
+            def check(self, **progress):
+                if progress["epochs_ingested"] >= 2:
+                    raise DeadlineExceeded(1.0, 2.0, progress)
+
         obs = traced_obs()
-        with EvaluationService(
-            obs=obs, max_workers=1, query_deadline_ms=30.0
-        ) as service:
-            run_id = service.register_vfl_log(vfl_result.log)
-            inject_chaos(
-                service, run_id, ChaosPolicy(latency_prob=1.0, latency_ms=300.0)
-            )
+        with EvaluationService(obs=obs) as service:
+            log = vfl_result.log
+            run_id = service.register_vfl(log.feature_blocks, log.active_parties)
             obs.tracer.clear()
             with pytest.raises(DeadlineExceeded):
-                service.query("contributions", run_id)
+                service.ingest_log(run_id, log, deadline=CutAfter())
+            assert_single_rooted_trace(obs.tracer.spans())
             names = by_name(obs.tracer.spans())
-            (root,) = names["serve.query"]
+            (root,) = names["serve.ingest_log"]
             assert root.status == "error"
             assert "DeadlineExceeded" in root.attributes["error"]
-            (response,) = names["serve.response"]
-            assert response.status == "error"
-            assert response.parent_id == root.span_id
+            ingests = names["serve.ingest"]
+            assert len(ingests) == 2
+            assert all(span.parent_id == root.span_id for span in ingests)
+            assert all(span.status == "ok" for span in ingests)
 
-    def test_circuit_open_closes_spans_with_error_status(self, vfl_result):
+    def test_shed_read_closes_spans_with_error_status(self, vfl_result):
+        """A shed read (the one error exit a query has left) closes its
+        spans with error status."""
         obs = traced_obs()
-        with EvaluationService(
-            obs=obs, max_workers=1, breaker_failures=1
-        ) as service:
+        with EvaluationService(obs=obs, admission_limit=1) as service:
             run_id = service.register_vfl_log(vfl_result.log)
-            inject_chaos(service, run_id, ChaosPolicy(error_prob=1.0))
-            with pytest.raises(Exception):  # the breaker-tripping failure
-                service.query("contributions", run_id)
+            assert service.admission.try_acquire()  # the one slot, held
             obs.tracer.clear()
-            with pytest.raises(CircuitOpen):
+            with pytest.raises(ServiceOverloaded):
                 service.query("contributions", run_id)
             names = by_name(obs.tracer.spans())
             (root,) = names["serve.query"]
             assert root.status == "error"
-            assert "CircuitOpen" in root.attributes["error"]
-            (estimator,) = names["serve.estimator"]
-            assert estimator.status == "error"
-            # The error propagated through every layer of the one trace.
-            assert {span.trace_id for span in obs.tracer.spans()} == {
-                root.trace_id
-            }
+            assert "ServiceOverloaded" in root.attributes["error"]
+            (admission,) = names["serve.admission"]
+            assert admission.attributes["admitted"] is False
+            assert admission.parent_id == root.span_id
+            service.admission.release()
 
 
 class TestEngineTrace:

@@ -3,14 +3,16 @@
 Unit-level: deadlines, the admission queue, the circuit-breaker state
 machine (driven by an injected clock, so every transition is asserted
 deterministically), and the decorrelated-jitter retry schedule.
-Service-level: per-request deadlines surfacing as
-:class:`DeadlineExceeded` at the ``Future`` boundary, load shedding with
-a p95-derived ``Retry-After``, idempotent close with fail-fast
-:class:`ServiceClosed` everywhere after, the publisher-outlives-service
-race, and the concurrent register/ingest/query/close hammer.
+Service-level: reads that answer from the published snapshot while an
+ingest is stuck, the batched-ingest deadline banking its progress for
+the retry, load shedding with a p95-derived ``Retry-After``, idempotent
+close with fail-fast :class:`ServiceClosed` everywhere after, the
+publisher-outlives-service race, and the concurrent
+register/ingest/query/close hammer.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from repro.serve import (
     Deadline,
     DeadlineExceeded,
     EvaluationService,
-    QueryFailed,
     RetryPolicy,
     ServiceClosed,
     ServiceOverloaded,
@@ -211,108 +212,86 @@ class TestRetryPolicy:
 
 @pytest.fixture()
 def vfl_service(vfl_result):
-    with EvaluationService(max_workers=2) as svc:
+    with EvaluationService() as svc:
         run_id = svc.register_vfl_log(vfl_result.log, run_id="r")
         yield svc, run_id
 
 
-class TestServiceDeadlines:
-    def test_deadline_overrun_surfaces_at_the_future_boundary(self, vfl_result):
-        with EvaluationService(max_workers=1, query_deadline_ms=30.0) as svc:
-            run_id = svc.register_vfl_log(vfl_result.log)
-            # Every compute sleeps well past the 30ms budget.
-            inject_chaos(
-                svc, run_id, ChaosPolicy(latency_prob=1.0, latency_ms=300.0)
-            )
-            svc.ingest(run_id, vfl_result.log.records[0])  # chaos ingest ok
-            with pytest.raises(DeadlineExceeded) as excinfo:
-                svc.query("contributions", run_id)
-            assert excinfo.value.budget_ms == pytest.approx(30.0)
+def _blocked_ingest(svc, run_id, record):
+    """Start an ingest that blocks inside the estimator; returns
+    (thread, entered, release)."""
+    entered, release = threading.Event(), threading.Event()
 
+    def block(_s):
+        entered.set()
+        release.wait(timeout=60)
+
+    inject_chaos(
+        svc, run_id, ChaosPolicy(latency_prob=1.0, latency_ms=1.0, sleep=block)
+    )
+    thread = threading.Thread(target=svc.ingest, args=(run_id, record))
+    thread.start()
+    assert entered.wait(timeout=30)
+    return thread, entered, release
+
+
+class TestServiceDeadlines:
     def test_warm_hits_beat_any_deadline(self, vfl_result):
-        with EvaluationService(query_deadline_ms=10_000.0) as svc:
-            run_id = svc.register_vfl_log(vfl_result.log)
+        """A read takes the published answer, never the run lock: it
+        answers at once while an ingest is stuck inside the estimator."""
+        with EvaluationService() as svc:
+            log = vfl_result.log
+            run_id = svc.register_vfl(log.feature_blocks, log.active_parties)
+            svc.ingest(run_id, log.records[0])
             first = svc.query("leaderboard", run_id, top=2)
-            second = svc.query("leaderboard", run_id, top=2)
-            assert second == first
-            assert second["stale"] is False
+            thread, _, release = _blocked_ingest(svc, run_id, log.records[1])
+            try:
+                started = time.perf_counter()
+                second = svc.query("leaderboard", run_id, top=2)
+                assert time.perf_counter() - started < 1.0
+                assert second == first
+            finally:
+                release.set()
+                thread.join(timeout=60)
+            assert svc.query("leaderboard", run_id, top=2)["epochs"] == 2
 
     def test_overrunning_compute_is_banked_for_the_retry(self, vfl_result):
-        """The 504'd value still lands in the cache: retry = warm hit."""
-        with EvaluationService(max_workers=1, query_deadline_ms=40.0) as svc:
-            run_id = svc.register_vfl_log(vfl_result.log)
-            policy = ChaosPolicy(latency_prob=1.0, latency_ms=150.0)
-            inject_chaos(svc, run_id, policy)
-            with pytest.raises(DeadlineExceeded):
-                svc.query("weights", run_id)
-            # Let the abandoned worker finish and cache its value.
-            for _ in range(400):
-                if svc.admission.stats()["in_flight"] == 0:
-                    break
-                threading.Event().wait(0.005)
-            policy.disarm()
-            payload = svc.query("weights", run_id)
-            assert payload["stale"] is False
+        """A batched ingest cut by its deadline keeps and serves the
+        epochs it ingested; the retry resumes where the cut landed."""
+        k = 3
+
+        class CutAfter:
+            def check(self, **progress):
+                if progress["epochs_ingested"] >= k:
+                    raise DeadlineExceeded(1.0, 2.0, progress)
+
+        with EvaluationService() as svc:
+            log = vfl_result.log
+            run_id = svc.register_vfl(log.feature_blocks, log.active_parties)
+            with pytest.raises(DeadlineExceeded) as cut:
+                svc.ingest_log(run_id, log, deadline=CutAfter())
+            assert cut.value.progress == {"epochs_ingested": k}
+            assert svc.contributions(run_id)["epochs"] == k
+            assert svc.ingest_log(run_id, log) == log.n_epochs
+            assert svc.contributions(run_id)["epochs"] == log.n_epochs
 
 
 class TestLoadShedding:
     def test_saturated_pool_sheds_with_retry_hint(self, vfl_result):
-        release = threading.Event()
-        svc = EvaluationService(max_workers=1, admission_limit=1)
+        """The admission slot is held here: the next query is shed."""
+        svc = EvaluationService(admission_limit=1)
         try:
             run_id = svc.register_vfl_log(vfl_result.log)
-            svc.ingest(run_id, vfl_result.log.records[0])  # fresh digest
-            inject_chaos(
-                svc, run_id,
-                ChaosPolicy(
-                    latency_prob=1.0, latency_ms=1.0,
-                    sleep=lambda _s: release.wait(timeout=60),
-                ),
-            )
-            blocker = threading.Thread(
-                target=lambda: svc.query("contributions", run_id)
-            )
-            blocker.start()
-            for _ in range(2000):
-                if svc.admission.depth.value >= 1:
-                    break
-                threading.Event().wait(0.005)
+            assert svc.admission.try_acquire()  # the one slot, held
             with pytest.raises(ServiceOverloaded) as excinfo:
                 svc.query("contributions", run_id)
             assert excinfo.value.retry_after_s >= 1.0
             assert svc.admission.shed == 1
-            release.set()
-            blocker.join(timeout=60)
-            assert not blocker.is_alive()
+            svc.admission.release()
             # Capacity freed: the same query is admitted again.
-            assert svc.query("contributions", run_id)["stale"] is False
+            assert svc.query("contributions", run_id)["epochs"] >= 1
         finally:
-            release.set()
             svc.close()
-
-
-class TestBreakerProbeRelease:
-    def test_caller_error_during_probe_does_not_wedge_the_breaker(
-        self, vfl_result
-    ):
-        """A bad-argument query admitted as the half-open probe must free
-        the probe slot: it says nothing about the estimator's health, and
-        holding the slot would refuse every future compute forever."""
-        with EvaluationService(breaker_failures=1, breaker_reset_s=0.0) as svc:
-            run_id = svc.register_vfl_log(vfl_result.log)
-            policy = ChaosPolicy(error_prob=1.0)
-            inject_chaos(svc, run_id, policy)
-            with pytest.raises(QueryFailed):
-                svc.weights(run_id)  # trips the breaker (no stale yet)
-            policy.disarm()
-            # reset_s=0: immediately half-open.  The probe slot goes to a
-            # caller error (invalid scheme reaching the estimator)...
-            with pytest.raises(ValueError, match="scheme"):
-                svc.weights(run_id, scheme="not-a-scheme")
-            # ...and must be released: the next valid query probes,
-            # succeeds, and closes the breaker.
-            assert svc.weights(run_id)["stale"] is False
-            assert svc.health()["status"] == "ok"
 
 
 class TestClose:
@@ -334,8 +313,6 @@ class TestClose:
             svc.query("leaderboard", run_id)
         with pytest.raises(ServiceClosed):
             svc.ingest(run_id, record)
-        with pytest.raises(ServiceClosed):
-            svc.submit("leaderboard", run_id)
         with pytest.raises(ServiceClosed):
             svc.register_vfl_log(vfl_result.log, run_id="late")
         assert svc.health()["status"] == "closed"
@@ -359,10 +336,10 @@ class TestClose:
 
     def test_concurrent_query_close_race_has_no_bare_errors(self, vfl_result):
         """Queries racing a close land on a payload or ServiceClosed —
-        never on RuntimeError from the dying pool."""
+        never on a bare error."""
         unexpected = []
         for _ in range(5):  # several rounds to actually hit the window
-            svc = EvaluationService(max_workers=2)
+            svc = EvaluationService()
             run_id = svc.register_vfl_log(vfl_result.log)
             svc.query("contributions", run_id)  # warm
             start = threading.Barrier(4)
@@ -392,7 +369,7 @@ class TestClose:
         """Registration and ingestion racing a close: every outcome is a
         success or ServiceClosed, and successful ingests stay consistent."""
         unexpected = []
-        svc = EvaluationService(max_workers=2)
+        svc = EvaluationService()
         base = svc.register_vfl_log(vfl_result.log, run_id="base")
         start = threading.Barrier(3)
 
@@ -591,14 +568,11 @@ class TestBackoff:
 
 class TestHealthAndStats:
     def test_stats_report_admission_and_breakers(self, vfl_service):
+        """Admission is reported; a worker holds no breakers any more."""
         svc, run_id = vfl_service
         svc.query("contributions", run_id)
         stats = svc.stats()
         assert stats["closed"] is False
         assert stats["admission"]["shed"] == 0
-        assert stats["breakers"] == {}  # nothing tripped: not reported
-        assert svc.health() == {
-            "status": "ok",
-            "runs": 1,
-            "degraded_runs": [],
-        }
+        assert "breakers" not in stats
+        assert svc.health() == {"status": "ok", "runs": 1}

@@ -11,6 +11,7 @@ under one scrape that still satisfies the strict exposition parser.
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -462,8 +463,19 @@ class TestRouterStatusSurface:
         assert status == 201
         run_id = created["run_id"]
         assert _get_json(router.port, f"/runs/{run_id}/leaderboard")[0] == 200
-        status, payload = _get_json(router.port, "/statusz")
-        assert status == 200
+        # The router books a request *after* its response bytes go out,
+        # so its handler thread can still be about to record when the
+        # client moves on: poll instead of asserting the first scrape.
+        deadline = time.monotonic() + 5.0
+        while True:
+            status, payload = _get_json(router.port, "/statusz")
+            assert status == 200
+            if (
+                payload["slo"]["counts"]["requests"] >= 2
+                or time.monotonic() > deadline
+            ):
+                break
+            time.sleep(0.02)
         assert payload["status"] == "ok"
         assert sorted(payload["workers"]) == ["0", "1"]
         assert payload["shards_down"] == []
